@@ -8,7 +8,7 @@
 // mmap reload is >= 10x faster than the text reload at M (the acceptance
 // number the binary format exists for).
 //
-// Run: ./build/bench/model_bench [out.json] [reps]
+// Run: ./build/bench/model_bench [out.json] [reps]   (--help prints usage)
 
 #include <cstdio>
 #include <cstring>
@@ -226,11 +226,25 @@ ScaleResult run_scale(const std::string& scale, std::size_t suffixes, int reps) 
   return res;
 }
 
+constexpr const char* kUsage = "usage: model_bench [out.json] [reps]\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string out_path = argc > 1 ? argv[1] : "BENCH_MODEL.json";
-  const int reps = argc > 2 ? std::max(1, std::atoi(argv[2])) : 5;
+  std::vector<std::string> positional;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--help") == 0) {
+      std::fputs(kUsage, stdout);
+      return 0;
+    }
+    if (std::strncmp(argv[i], "--", 2) == 0) {
+      std::fprintf(stderr, "model_bench: unknown flag %s\n%s", argv[i], kUsage);
+      return 2;
+    }
+    positional.push_back(argv[i]);
+  }
+  const std::string out_path = positional.size() > 0 ? positional[0] : "BENCH_MODEL.json";
+  const int reps = positional.size() > 1 ? std::max(1, std::atoi(positional[1].c_str())) : 5;
 
   std::vector<ScaleResult> scales;
   scales.push_back(run_scale("S", 50, reps));

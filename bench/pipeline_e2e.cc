@@ -517,6 +517,10 @@ int run_stream_tier(const std::string& scale, const std::string& out_path, int r
   return 0;
 }
 
+constexpr const char* kUsage =
+    "usage: pipeline_e2e [--scale={S,M,L,XL}] [--checkpoint-dir=DIR] "
+    "[--delta-frac=F] [out.json] [reps]\n";
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -531,14 +535,18 @@ int main(int argc, char** argv) {
       checkpoint_dir = argv[i] + 17;
     } else if (std::strncmp(argv[i], "--delta-frac=", 13) == 0) {
       delta_frac = std::atof(argv[i] + 13);
+    } else if (std::strcmp(argv[i], "--help") == 0) {
+      std::fputs(kUsage, stdout);
+      return 0;
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      std::fprintf(stderr, "pipeline_e2e: unknown flag %s\n%s", argv[i], kUsage);
+      return 2;
     } else {
       positional.push_back(argv[i]);
     }
   }
   if (scale != "S" && scale != "M" && scale != "L" && scale != "XL") {
-    std::fprintf(stderr,
-                 "usage: pipeline_e2e [--scale={S,M,L,XL}] [--checkpoint-dir=DIR] "
-                 "[--delta-frac=F] [out.json] [reps]\n");
+    std::fputs(kUsage, stderr);
     return 2;
   }
   if (!checkpoint_dir.empty() && scale == "S") {

@@ -148,10 +148,7 @@ std::shared_ptr<const measure::ExpectedRttGrid> Hoiho::expected_rtt_grid(
     return true;
   };
   if (gc.grid == nullptr || !same_vps()) {
-    std::vector<geo::Coordinate> coords(dict_.size());
-    for (std::size_t id = 0; id < coords.size(); ++id)
-      coords[id] = dict_.location(static_cast<geo::LocationId>(id)).coord;
-    gc.grid = std::make_shared<measure::ExpectedRttGrid>(coords, meas.vps);
+    gc.grid = std::make_shared<measure::ExpectedRttGrid>(dict_, meas.vps);
     gc.vp_coords.clear();
     for (const measure::VantagePoint& vp : meas.vps) gc.vp_coords.push_back(vp.coord);
   }

@@ -20,10 +20,7 @@ std::unique_ptr<measure::ExpectedRttGrid> maybe_build_grid(const geo::GeoDiction
                                                            const measure::Measurements& meas,
                                                            std::size_t max_grid_cells) {
   if (meas.vps.empty() || dict.size() * meas.vps.size() > max_grid_cells) return nullptr;
-  std::vector<geo::Coordinate> coords(dict.size());
-  for (std::size_t id = 0; id < coords.size(); ++id)
-    coords[id] = dict.location(static_cast<geo::LocationId>(id)).coord;
-  return std::make_unique<measure::ExpectedRttGrid>(coords, meas.vps);
+  return std::make_unique<measure::ExpectedRttGrid>(dict, meas.vps);
 }
 
 }  // namespace

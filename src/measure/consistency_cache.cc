@@ -19,6 +19,21 @@ ExpectedRttGrid::ExpectedRttGrid(std::span<const geo::Coordinate> coords,
   }
 }
 
+namespace {
+
+std::vector<geo::Coordinate> location_coords(const geo::GeoDictionary& dict) {
+  std::vector<geo::Coordinate> coords;
+  coords.reserve(dict.size());
+  for (const geo::Location& loc : dict.all_locations()) coords.push_back(loc.coord);
+  return coords;
+}
+
+}  // namespace
+
+ExpectedRttGrid::ExpectedRttGrid(const geo::GeoDictionary& dict,
+                                 std::span<const VantagePoint> vps)
+    : ExpectedRttGrid(location_coords(dict), vps) {}
+
 ConsistencyCache::ConsistencyCache(const Measurements& meas, std::size_t location_count,
                                    double slack_ms, bool prefilter, const ExpectedRttGrid* grid)
     : meas_(meas),

@@ -24,6 +24,7 @@
 #include <span>
 #include <vector>
 
+#include "geo/dictionary.h"
 #include "measure/consistency.h"
 
 namespace hoiho::measure {
@@ -38,6 +39,8 @@ class ExpectedRttGrid {
  public:
   // `coords[id]` must be the coordinate of dictionary location `id`.
   ExpectedRttGrid(std::span<const geo::Coordinate> coords, std::span<const VantagePoint> vps);
+  // Over every location of `dict`.
+  ExpectedRttGrid(const geo::GeoDictionary& dict, std::span<const VantagePoint> vps);
 
   double at(geo::LocationId loc, VpId v) const { return rtts_[loc * vp_count_ + v]; }
   std::size_t location_count() const { return vp_count_ == 0 ? 0 : rtts_.size() / vp_count_; }

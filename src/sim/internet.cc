@@ -283,22 +283,25 @@ SampledOperator sample_operator(const geo::GeoDictionary& dict, const LocationPo
   if (config.spatial_footprint && !candidates.empty()) {
     // Spatially-embedded deployment: a home site, its nearest code-bearing
     // neighbours, plus the occasional far satellite (an IXP presence or an
-    // acquired PoP on another continent).
+    // acquired PoP on another continent). Each candidate's distance from
+    // home is computed once and the (distance, id) pairs are stable-sorted
+    // on the distance alone, which orders them exactly as comparing freshly
+    // computed distances would.
     const geo::LocationId home = candidates[rng.next_weighted(weights)];
     const geo::Coordinate& at = dict.location(home).coord;
-    std::vector<geo::LocationId> by_distance = candidates;
+    std::vector<std::pair<double, geo::LocationId>> by_distance;
+    by_distance.reserve(candidates.size());
+    for (geo::LocationId id : candidates)
+      by_distance.emplace_back(geo::distance_km(at, dict.location(id).coord), id);
     std::stable_sort(by_distance.begin(), by_distance.end(),
-                     [&](geo::LocationId a, geo::LocationId b) {
-                       return geo::distance_km(at, dict.location(a).coord) <
-                              geo::distance_km(at, dict.location(b).coord);
-                     });
+                     [](const auto& a, const auto& b) { return a.first < b.first; });
     std::set<geo::LocationId> chosen;
     std::size_t next_near = 0;
     while (chosen.size() < footprint_size && next_near < by_distance.size()) {
       if (rng.next_bool(config.satellite_site_rate)) {
-        chosen.insert(by_distance[rng.next_below(by_distance.size())]);
+        chosen.insert(by_distance[rng.next_below(by_distance.size())].second);
       } else {
-        chosen.insert(by_distance[next_near++]);
+        chosen.insert(by_distance[next_near++].second);
       }
     }
     spec.footprint.assign(chosen.begin(), chosen.end());

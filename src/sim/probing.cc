@@ -18,22 +18,26 @@ double sample_rtt(util::Rng& rng, double base_ms, double inflation_min, double i
 
 }  // namespace
 
-void probe_pings_range(const geo::GeoDictionary& dict, const topo::Topology& topology,
-                       topo::RouterId begin, topo::RouterId end, const PingConfig& config,
-                       util::Rng& rng, measure::Measurements& meas) {
+void probe_pings_range(const geo::GeoDictionary& dict, const measure::ExpectedRttGrid& grid,
+                       const topo::Topology& topology, topo::RouterId begin, topo::RouterId end,
+                       const PingConfig& config, util::Rng& rng, measure::Measurements& meas) {
   for (topo::RouterId r = begin; r < end; ++r) {
     const topo::Router& router = topology.router(r);
     if (!rng.next_bool(config.router_response_rate)) continue;
     geo::Coordinate at = dict.location(router.true_location).coord;
+    bool direct = !at.valid();  // the grid holds NaN for invalid coordinates
     // Anycast contamination: the RTTs describe a random VP's city instead
     // of the router's true location. Guarded so the default (0) takes no
     // rng draw and existing seeded campaigns are unchanged.
     if (config.anycast_rate > 0 && !meas.vps.empty() &&
-        rng.next_bool(config.anycast_rate))
+        rng.next_bool(config.anycast_rate)) {
       at = meas.vps[rng.next_below(meas.vps.size())].coord;
+      direct = true;
+    }
     for (measure::VpId v = 0; v < meas.vps.size(); ++v) {
       if (!rng.next_bool(config.vp_sample_rate)) continue;
-      const double base = geo::min_rtt_ms(at, meas.vps[v].coord);
+      const double base = direct ? geo::min_rtt_ms(at, meas.vps[v].coord)
+                                 : grid.at(router.true_location, v);
       meas.pings.record(router.id, v, sample_rtt(rng, base, config.inflation_min,
                                                  config.inflation_max, config.noise_min_ms,
                                                  config.noise_max_ms));
@@ -44,7 +48,8 @@ void probe_pings_range(const geo::GeoDictionary& dict, const topo::Topology& top
 measure::Measurements probe_pings(const World& world, const PingConfig& config) {
   util::Rng rng(config.seed);
   measure::Measurements meas(world.vps, world.topology.size());
-  probe_pings_range(*world.dict, world.topology, 0,
+  const measure::ExpectedRttGrid grid(*world.dict, meas.vps);
+  probe_pings_range(*world.dict, grid, world.topology, 0,
                     static_cast<topo::RouterId>(world.topology.size()), config, rng, meas);
   return meas;
 }

@@ -13,6 +13,7 @@
 //     routers seen from a single VP).
 #pragma once
 
+#include "measure/consistency_cache.h"
 #include "measure/rtt_matrix.h"
 #include "sim/internet.h"
 
@@ -44,9 +45,15 @@ measure::Measurements probe_pings(const World& world, const PingConfig& config =
 // whole range reproduces probe_pings exactly; the streaming generator
 // instead calls this once per suffix with a per-suffix rng so the samples
 // are independent of batch boundaries.
-void probe_pings_range(const geo::GeoDictionary& dict, const topo::Topology& topology,
-                       topo::RouterId begin, topo::RouterId end, const PingConfig& config,
-                       util::Rng& rng, measure::Measurements& meas);
+//
+// Routers only ever sit at dictionary locations, so the speed-of-light base
+// RTT of a sample is read from `grid`, which must be built over `dict` and
+// `meas.vps` (it holds exactly geo::min_rtt_ms(location, VP)). Anycast
+// routers and locations without a valid coordinate have no grid cell and
+// compute it directly.
+void probe_pings_range(const geo::GeoDictionary& dict, const measure::ExpectedRttGrid& grid,
+                       const topo::Topology& topology, topo::RouterId begin, topo::RouterId end,
+                       const PingConfig& config, util::Rng& rng, measure::Measurements& meas);
 
 struct TraceConfig {
   std::uint64_t seed = 3;

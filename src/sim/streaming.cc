@@ -49,10 +49,12 @@ std::string make_streaming_suffix(std::size_t k, util::Rng& rng) {
 }  // namespace
 
 StreamingWorld::StreamingWorld(const geo::GeoDictionary& dict, StreamingWorldConfig config)
-    : dict_(dict), config_(std::move(config)) {
+    : dict_(dict),
+      config_(std::move(config)),
+      pools_(build_location_pools(dict_)),
+      vps_(make_vps(dict_, config_.vp_count)),
+      rtt_grid_(dict_, vps_) {
   config_.traits.spatial_footprint = true;
-  pools_ = build_location_pools(dict_);
-  vps_ = make_vps(dict_, config_.vp_count);
 
   // Zipf router plan: suffix k draws ~1/(k+1)^s of the hostname mass,
   // clamped per suffix; the expected hostnames-per-router factor converts
@@ -188,9 +190,8 @@ std::string StreamingWorld::suffix_name(std::size_t k) const {
   return make_streaming_suffix(k, rng);
 }
 
-std::vector<topo::HostnameRef> StreamingWorld::render_suffix(std::size_t k,
-                                                             io::SuffixBatch& batch,
-                                                             topo::RouterId* first_router) {
+bool StreamingWorld::render_suffix(std::size_t k, io::SuffixBatch& batch,
+                                   std::vector<Pending>& pending) {
   util::Rng rng(mix(config_.seed, k));
   // The name is drawn before any churn reseed: a churned operator keeps its
   // suffix and turns over everything behind it.
@@ -205,13 +206,13 @@ std::vector<topo::HostnameRef> StreamingWorld::render_suffix(std::size_t k,
   // IPv4 rendering and harmless — addresses are decoration.)
   std::size_t addr_counter = (k + 1) * 16384;
   std::vector<HostnameTruth> truths;  // discarded: scale worlds are unscored
-  const topo::RouterId first =
-      render_operator(op.spec, dict_, traits.ipv6, op.hostname_rate, op.stale_rate, addr_counter,
-                      rng, batch.topology, truths);
-  *first_router = first;
+  Pending p;
+  p.suffix_index = k;
+  p.first_router = render_operator(op.spec, dict_, traits.ipv6, op.hostname_rate, op.stale_rate,
+                                   addr_counter, rng, batch.topology, truths);
+  p.end_router = static_cast<topo::RouterId>(batch.topology.size());
 
-  std::vector<topo::HostnameRef> refs;
-  for (topo::RouterId r = first; r < batch.topology.size(); ++r) {
+  for (topo::RouterId r = p.first_router; r < p.end_router; ++r) {
     for (const topo::Interface& ifc : batch.topology.router(r).interfaces) {
       ++report_.lines;
       if (!ifc.hostname) {
@@ -220,10 +221,28 @@ std::vector<topo::HostnameRef> StreamingWorld::render_suffix(std::size_t k,
         continue;
       }
       ++report_.records;
-      refs.push_back(topo::HostnameRef{r, &*ifc.hostname});
+      p.refs.push_back(topo::HostnameRef{r, &*ifc.hostname});
     }
   }
-  return refs;
+  if (p.refs.empty()) return false;
+  pending.push_back(std::move(p));
+  return true;
+}
+
+void StreamingWorld::probe_and_group(std::vector<Pending>& pending,
+                                     io::SuffixBatch& batch) const {
+  // The matrix spans the whole batch topology.
+  batch.pings = measure::Measurements(vps_, batch.topology.size());
+  for (const Pending& p : pending) {
+    util::Rng ping_rng(mix(config_.seed ^ config_.ping.seed, p.suffix_index));
+    probe_pings_range(dict_, rtt_grid_, batch.topology, p.first_router, p.end_router,
+                      config_.ping, ping_rng, batch.pings);
+  }
+  batch.groups.reserve(pending.size());
+  for (Pending& p : pending) {
+    std::string suffix(p.refs.front().hostname->suffix());
+    batch.groups.push_back(topo::SuffixGroup{std::move(suffix), std::move(p.refs)});
+  }
 }
 
 std::optional<io::SuffixBatch> StreamingWorld::next_batch() {
@@ -232,43 +251,15 @@ std::optional<io::SuffixBatch> StreamingWorld::next_batch() {
   io::SuffixBatch batch;
   batch.first_suffix_index = next_suffix_;
 
-  // Phase 1: render whole suffixes until the hostname budget is met.
-  struct Pending {
-    std::size_t suffix_index;
-    topo::RouterId first_router;
-    topo::RouterId end_router;  // one past this suffix's last router
-    std::vector<topo::HostnameRef> refs;
-    std::string suffix;
-  };
+  // Render whole suffixes until the hostname budget is met.
   std::vector<Pending> pending;
   std::size_t batch_hostnames = 0;
   while (next_suffix_ < config_.suffixes &&
          (pending.empty() || batch_hostnames < config_.batch_hostname_budget)) {
-    const std::size_t k = next_suffix_++;
-    Pending p;
-    p.suffix_index = k;
-    p.refs = render_suffix(k, batch, &p.first_router);
-    p.end_router = static_cast<topo::RouterId>(batch.topology.size());
-    if (p.refs.empty()) continue;  // operator rendered no usable hostnames
-    p.suffix = std::string(p.refs.front().hostname->suffix());
-    batch_hostnames += p.refs.size();
-    pending.push_back(std::move(p));
+    if (render_suffix(next_suffix_++, batch, pending))
+      batch_hostnames += pending.back().refs.size();
   }
-
-  // Phase 2: probe RTTs. The matrix spans the whole batch topology; each
-  // suffix's routers are probed from a per-suffix rng so samples don't
-  // depend on batch grouping.
-  batch.pings = measure::Measurements(vps_, batch.topology.size());
-  for (const Pending& p : pending) {
-    util::Rng ping_rng(mix(config_.seed ^ config_.ping.seed, p.suffix_index));
-    probe_pings_range(dict_, batch.topology, p.first_router, p.end_router, config_.ping,
-                      ping_rng, batch.pings);
-  }
-
-  // Phase 3: assemble groups in stream order.
-  batch.groups.reserve(pending.size());
-  for (Pending& p : pending)
-    batch.groups.push_back(topo::SuffixGroup{std::move(p.suffix), std::move(p.refs)});
+  probe_and_group(pending, batch);
 
   if (batch.groups.empty()) return next_batch();  // every suffix was empty; advance
   return batch;
@@ -277,35 +268,10 @@ std::optional<io::SuffixBatch> StreamingWorld::next_batch() {
 io::SuffixBatch StreamingWorld::render_batch(const std::vector<std::size_t>& ks) {
   io::SuffixBatch batch;
   batch.first_suffix_index = ks.empty() ? 0 : ks.front();
-
-  struct Pending {
-    std::size_t suffix_index;
-    topo::RouterId first_router;
-    topo::RouterId end_router;
-    std::vector<topo::HostnameRef> refs;
-    std::string suffix;
-  };
   std::vector<Pending> pending;
-  for (const std::size_t k : ks) {
-    Pending p;
-    p.suffix_index = k;
-    p.refs = render_suffix(k, batch, &p.first_router);
-    p.end_router = static_cast<topo::RouterId>(batch.topology.size());
-    if (p.refs.empty()) continue;  // caller maps the omission to a removal
-    p.suffix = std::string(p.refs.front().hostname->suffix());
-    pending.push_back(std::move(p));
-  }
-
-  batch.pings = measure::Measurements(vps_, batch.topology.size());
-  for (const Pending& p : pending) {
-    util::Rng ping_rng(mix(config_.seed ^ config_.ping.seed, p.suffix_index));
-    probe_pings_range(dict_, batch.topology, p.first_router, p.end_router, config_.ping,
-                      ping_rng, batch.pings);
-  }
-
-  batch.groups.reserve(pending.size());
-  for (Pending& p : pending)
-    batch.groups.push_back(topo::SuffixGroup{std::move(p.suffix), std::move(p.refs)});
+  // A suffix that renders nothing is omitted; the caller maps it to a removal.
+  for (const std::size_t k : ks) render_suffix(k, batch, pending);
+  probe_and_group(pending, batch);
   return batch;
 }
 

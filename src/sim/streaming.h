@@ -104,15 +104,30 @@ class StreamingWorld final : public io::SuffixStream {
   io::SuffixBatch render_batch(const std::vector<std::size_t>& ks);
 
  private:
+  // A suffix rendered into a batch, waiting to be probed and grouped.
+  struct Pending {
+    std::size_t suffix_index;
+    topo::RouterId first_router;
+    topo::RouterId end_router;  // one past this suffix's last router
+    std::vector<topo::HostnameRef> refs;
+  };
+
   // Renders suffix k (operator sample + routers + hostnames) into the
-  // batch and returns the hostname refs for its group.
-  std::vector<topo::HostnameRef> render_suffix(std::size_t k, io::SuffixBatch& batch,
-                                               topo::RouterId* first_router);
+  // batch. Returns false, and pends nothing, when the operator rendered no
+  // usable hostnames.
+  bool render_suffix(std::size_t k, io::SuffixBatch& batch, std::vector<Pending>& pending);
+
+  // Probes every pending suffix's routers (each from its own rng, so samples
+  // don't depend on batch grouping) and appends their groups in order.
+  void probe_and_group(std::vector<Pending>& pending, io::SuffixBatch& batch) const;
 
   const geo::GeoDictionary& dict_;
   StreamingWorldConfig config_;
   LocationPools pools_;
   std::vector<measure::VantagePoint> vps_;
+  // Speed-of-light RTT per (dictionary location, VP), computed once per
+  // world: every probed router sits at a dictionary location.
+  measure::ExpectedRttGrid rtt_grid_;
   std::vector<std::uint32_t> router_plan_;  // per-suffix router counts (Zipf)
   std::size_t next_suffix_ = 0;
   io::LoadReport report_;
