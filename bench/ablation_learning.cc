@@ -32,7 +32,8 @@ bench::MethodScore score_run(const sim::ValidationScenario& sc, bool enable_lear
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::parse_args(argc, argv, /*takes_scale=*/false);
   const sim::ValidationScenario sc = sim::make_validation();
 
   std::printf("Ablation: stage-4 geohint learning on/off (validation scenario)\n\n");

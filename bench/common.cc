@@ -1,9 +1,45 @@
 #include "common.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 
 namespace hoiho::bench {
+
+double parse_args(int argc, char** argv, bool takes_scale) {
+  const char* slash = std::strrchr(argv[0], '/');
+  const char* name = slash != nullptr ? slash + 1 : argv[0];
+  const auto usage = [&](std::FILE* out) {
+    if (takes_scale)
+      std::fprintf(out, "usage: %s [scale]\n  scale  positive world-size multiplier (default 1)\n",
+                   name);
+    else
+      std::fprintf(out, "usage: %s\n", name);
+  };
+  const auto fail = [&](const char* what, const char* arg) {
+    std::fprintf(stderr, "%s: %s %s\n", name, what, arg);
+    usage(stderr);
+    std::exit(2);
+  };
+  double scale = 1.0;
+  bool have_scale = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--help") == 0) {
+      usage(stdout);
+      std::exit(0);
+    }
+    if (std::strncmp(argv[i], "--", 2) == 0) fail("unknown flag", argv[i]);
+    if (!takes_scale || have_scale) fail("unexpected argument", argv[i]);
+    char* end = nullptr;
+    scale = std::strtod(argv[i], &end);
+    if (end == argv[i] || *end != '\0' || !std::isfinite(scale) || scale <= 0)
+      fail("scale must be a positive number, got", argv[i]);
+    have_scale = true;
+  }
+  return scale;
+}
 
 void print_table(const std::vector<std::vector<std::string>>& rows) {
   if (rows.empty()) return;

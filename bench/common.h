@@ -10,6 +10,13 @@
 
 namespace hoiho::bench {
 
+// Parses a paper bench's command line. `--help` prints usage on stdout and
+// exits 0; an unknown flag, an extra argument, or a scale that is not a
+// positive number prints usage on stderr and exits 2. With `takes_scale`
+// the one optional positional argument is the world-size multiplier;
+// returns it, or 1.0 when absent.
+double parse_args(int argc, char** argv, bool takes_scale);
+
 // Prints a fixed-width table: header row then rows, columns sized to fit.
 void print_table(const std::vector<std::vector<std::string>>& rows);
 

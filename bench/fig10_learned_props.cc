@@ -16,7 +16,7 @@
 using namespace hoiho;
 
 int main(int argc, char** argv) {
-  const double scale = argc > 1 ? std::atof(argv[1]) : 1.0;
+  const double scale = bench::parse_args(argc, argv, /*takes_scale=*/true);
   sim::WorldConfig config;
   config.seed = 515151;  // same world as table5_learned_hints
   config.operators = static_cast<std::size_t>(220 * scale);

@@ -13,7 +13,8 @@
 
 using namespace hoiho;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::parse_args(argc, argv, /*takes_scale=*/false);
   // A thinner VP field than fig. 9's: correctness of learned hints as a
   // function of VP proximity only varies when some learned hints are far
   // from every VP.

@@ -79,7 +79,8 @@ void print_regexes(const char* phase, const core::Evaluator& ev,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::parse_args(argc, argv, /*takes_scale=*/false);
   Fixture fx;
   // Figure 13's hostname mix: IATA codes (a-f), 8-letter CLLI codes (g, h),
   // and German city names with a country code, with and without digits

@@ -15,7 +15,7 @@
 using namespace hoiho;
 
 int main(int argc, char** argv) {
-  const double scale = argc > 1 ? std::atof(argv[1]) : 1.0;
+  const double scale = bench::parse_args(argc, argv, /*takes_scale=*/true);
   const sim::ItdkScenario sc = sim::make_itdk(sim::ItdkKind::kIpv4Aug20, scale);
 
   std::vector<double> ping_min, trace_min, ping_frac, trace_single;

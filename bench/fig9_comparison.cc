@@ -20,7 +20,8 @@
 
 using namespace hoiho;
 
-int main() {
+int main(int argc, char** argv) {
+  bench::parse_args(argc, argv, /*takes_scale=*/false);
   const sim::ValidationScenario sc = sim::make_validation();
   const geo::GeoDictionary& dict = *sc.world.dict;
 

@@ -11,7 +11,7 @@
 using namespace hoiho;
 
 int main(int argc, char** argv) {
-  const double scale = argc > 1 ? std::atof(argv[1]) : 1.0;
+  const double scale = bench::parse_args(argc, argv, /*takes_scale=*/true);
   std::printf("Table 3: Classification of NCs (synthetic, scale=%.2f)\n\n", scale);
 
   std::vector<std::vector<std::string>> rows;

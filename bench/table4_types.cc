@@ -22,7 +22,7 @@ struct TypeCounts {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double scale = argc > 1 ? std::atof(argv[1]) : 1.0;
+  const double scale = bench::parse_args(argc, argv, /*takes_scale=*/true);
   std::printf("Table 4: NC geohint types and annotations (IPv4 Aug '20 style, scale=%.2f)\n\n",
               scale);
 

@@ -15,7 +15,7 @@
 using namespace hoiho;
 
 int main(int argc, char** argv) {
-  const double scale = argc > 1 ? std::atof(argv[1]) : 1.0;
+  const double scale = bench::parse_args(argc, argv, /*takes_scale=*/true);
   sim::WorldConfig config;
   config.seed = 515151;
   config.operators = static_cast<std::size_t>(220 * scale);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <optional>
 #include <span>
 #include <unordered_set>
@@ -45,9 +46,9 @@ std::string RunReport::to_json(std::string_view indent) const {
   return out;
 }
 
-// Registry handles for the pipeline counters, resolved once per run so the
+// Registry handles for the pipeline counters, resolved once per call so the
 // per-suffix hot path only pays relaxed adds. All handles live in the
-// registry passed to run_instrumented and stay valid for its lifetime.
+// config's registry and stay valid for its lifetime.
 struct Hoiho::PipelineMetrics {
   obs::Registry* registry;  // for per-worker gauges resolved at fold time
   obs::Counter suffixes, suffixes_skipped, suffixes_usable;
@@ -131,6 +132,15 @@ struct Hoiho::PipelineMetrics {
           .add(static_cast<std::int64_t>(ps.workers[w].executed));
     }
   }
+};
+
+// Wall time per pipeline stage of one suffix run, fed into the
+// pipeline_stage_us counters.
+struct Hoiho::StageTimes {
+  double tag_ms = 0;    // stage 2: apparent-geohint tagging
+  double regex_ms = 0;  // stage 3 generation: base + merge + class embedding
+  double eval_ms = 0;   // stage 3 scoring: candidate ranking + NC building
+  double learn_ms = 0;  // stage 4: geohint learning + re-evaluation
 };
 
 std::shared_ptr<const measure::ExpectedRttGrid> Hoiho::expected_rtt_grid(
@@ -395,74 +405,114 @@ SuffixResult Hoiho::run_suffix_impl(const topo::SuffixGroup& group,
   return result;
 }
 
-HoihoResult Hoiho::run_instrumented(const topo::Topology& topo,
-                                    const measure::Measurements& meas, obs::Registry* registry,
-                                    obs::Tracer* tracer) const {
+// One learning call (run, run_stream or run_delta): the registry handles,
+// the tracer and, when more than one worker would run, the work-stealing
+// pool. Workers are clamped to min(threads, task bound, hardware): suffix
+// learning is CPU-bound, so workers beyond the core count only add
+// preemption (measurably pessimizing small corpora on 1-core hosts), and
+// output is threads-invariant, so the clamp is unobservable in results.
+// The pool lives for the whole call — run_stream reuses it for every batch —
+// and its stats are folded into the registry when the call ends.
+struct Hoiho::Pass {
   std::optional<PipelineMetrics> metrics;
-  if (registry != nullptr) metrics.emplace(*registry);
-  PipelineMetrics* pm = metrics ? &*metrics : nullptr;
+  PipelineMetrics* pm = nullptr;
+  obs::Tracer* tracer;
+  std::optional<util::WorkStealingPool> pool;
 
-  obs::Span run_span(tracer, "run");
-  const std::vector<topo::SuffixGroup> groups = topo.group_by_suffix();
-  run_span.set_work(groups.size());
-  std::vector<SuffixResult> slots(groups.size());
+  Pass(const HoihoConfig& config, std::size_t max_tasks) : tracer(config.tracer) {
+    if (config.registry != nullptr) pm = &metrics.emplace(*config.registry);
+    const std::size_t threads = std::min(
+        {util::ThreadPool::resolve(config.threads), max_tasks, util::ThreadPool::resolve(0)});
+    if (threads > 1) {
+      pool.emplace(threads);
+      if (pm != nullptr) pool->set_queue_wait_histogram(pm->pool_queue_wait_ns);
+    }
+  }
+  ~Pass() {
+    if (pool && pm != nullptr) pm->fold_pool(pool->stats());
+  }
+  Pass(const Pass&) = delete;
+  Pass& operator=(const Pass&) = delete;
+};
 
+std::vector<SuffixResult> Hoiho::learn(Pass& pass,
+                                       std::span<const topo::SuffixGroup* const> groups,
+                                       const measure::Measurements& meas,
+                                       const std::function<void()>& overlap) const {
+  PipelineMetrics* pm = pass.pm;
   if (pm != nullptr && config_.consistency_cache) {
     // Build the shared grid up front (the workers would race to the same
-    // build anyway) so its size is on record even for an empty topology.
+    // build anyway) so its size is on record even with nothing to learn.
+    // Every batch of a campaign shares its VP set, so later calls hit the
+    // memo.
     if (const auto grid = expected_rtt_grid(meas))
       pm->grid_cells.set(static_cast<std::int64_t>(grid->location_count() * grid->vp_count()));
   }
 
-  std::size_t threads = util::ThreadPool::resolve(config_.threads);
-  if (!groups.empty()) threads = std::min(threads, groups.size());
-  // Never oversubscribe: suffix learning is CPU-bound, so workers beyond the
-  // core count only add preemption (measurably pessimizing small corpora —
-  // the seed bench's cached_4t used to lose to cached_1t on 1-core hosts).
-  // Output is threads-invariant, so the clamp is unobservable in results.
-  threads = std::min(threads, util::ThreadPool::resolve(0));
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < groups.size(); ++i)
-      slots[i] = run_suffix_instrumented(groups[i], meas, pm, tracer);
+  // Suffix runs are independent: each reads only the shared const inputs
+  // (dictionary, groups, measurements) and writes its own slot, so results
+  // land in group order whichever worker ran them.
+  std::vector<SuffixResult> slots(groups.size());
+  const auto learn_one = [&](std::size_t i) {
+    slots[i] = run_suffix_instrumented(*groups[i], meas, pm, pass.tracer);
+  };
+  if (!pass.pool) {
+    for (std::size_t i = 0; i < groups.size(); ++i) learn_one(i);
+    if (overlap) overlap();
   } else {
-    // Suffix runs are independent: each reads only the shared const inputs
-    // (dictionary, topology, measurements) and writes its own slot. Results
-    // land by group index, so output order matches the sequential path.
-    //
     // Suffix sizes are heavily skewed (one consumer ISP next to dozens of
-    // small operators), so the batch is seeded cost-descending into a
-    // work-stealing pool: every worker starts on one of the k largest
-    // suffixes, and whoever drains first steals the smallest remaining task
-    // from a neighbour instead of idling.
-    util::WorkStealingPool pool(threads);
-    if (pm != nullptr) pool.set_queue_wait_histogram(pm->pool_queue_wait_ns);
+    // small operators), so tasks are seeded cost-descending: every worker
+    // starts on one of the k largest suffixes, and whoever drains first
+    // steals the smallest remaining task from a neighbour instead of idling.
     std::vector<std::size_t> order(groups.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
     std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return groups[a].hostnames.size() > groups[b].hostnames.size();
+      return groups[a]->hostnames.size() > groups[b]->hostnames.size();
     });
     std::vector<std::function<void()>> tasks;
     tasks.reserve(order.size());
-    for (std::size_t idx : order)
-      tasks.push_back([this, &slots, &groups, &meas, pm, tracer, idx] {
-        slots[idx] = run_suffix_instrumented(groups[idx], meas, pm, tracer);
-      });
+    for (std::size_t idx : order) tasks.push_back([&learn_one, idx] { learn_one(idx); });
+    util::WorkStealingPool& pool = *pass.pool;
     pool.seed(std::move(tasks));
-    pool.wait_idle();
-    if (pm != nullptr) pm->fold_pool(pool.stats());
+    // The workers only touch `groups`; whatever `overlap` touches stays on
+    // this thread.
+    if (overlap) overlap();
+    if (config_.worker_stall_ms > 0) {
+      // Watchdog: surface workers stuck on one suffix (one episode per
+      // task) instead of blocking silently.
+      while (!pool.wait_idle_for(std::chrono::milliseconds(config_.worker_stall_ms))) {
+        const std::size_t stalled =
+            pool.scan_stalled(static_cast<std::uint64_t>(config_.worker_stall_ms));
+        if (pm != nullptr) pm->pool_worker_stalled.add(stalled);
+      }
+    } else {
+      pool.wait_idle();
+    }
   }
   if (pm != nullptr) {
     pm->peak_rss_bytes.set(
         std::max(pm->peak_rss_bytes.load(), static_cast<std::int64_t>(util::peak_rss_bytes())));
   }
-
-  HoihoResult result;
-  for (SuffixResult& sr : slots)
-    if (sr.hostname_count > 0) result.suffixes.push_back(std::move(sr));
-  return result;
+  return slots;
 }
 
 namespace {
+
+std::vector<const topo::SuffixGroup*> addresses(const std::vector<topo::SuffixGroup>& groups) {
+  std::vector<const topo::SuffixGroup*> out;
+  out.reserve(groups.size());
+  for (const topo::SuffixGroup& g : groups) out.push_back(&g);
+  return out;
+}
+
+// Per-hostname payloads point into whatever owns the hostnames (a stream
+// batch, a change feed); strip them so streamed and merged results are both
+// safe and small (aggregate counts, the NC, learned hints, and the class
+// survive).
+void compact(SuffixResult& sr) {
+  std::vector<TaggedHostname>().swap(sr.tagged);
+  std::vector<HostnameEval>().swap(sr.eval.per_hostname);
+}
 
 // Fingerprints every config knob that changes learned output
 // (learn_signature, shared with incremental relearning) plus the stream
@@ -478,31 +528,24 @@ std::uint64_t checkpoint_signature(const HoihoConfig& c, const io::SuffixStream&
 
 }  // namespace
 
-HoihoResult Hoiho::run_stream_instrumented(io::SuffixStream& stream, obs::Registry* registry,
-                                           obs::Tracer* tracer) const {
-  std::optional<PipelineMetrics> metrics;
-  if (registry != nullptr) metrics.emplace(*registry);
-  PipelineMetrics* pm = metrics ? &*metrics : nullptr;
+HoihoResult Hoiho::run(const topo::Topology& topo, const measure::Measurements& meas) const {
+  obs::Span run_span(config_.tracer, "run");
+  const std::vector<topo::SuffixGroup> groups = topo.group_by_suffix();
+  run_span.set_work(groups.size());
+  Pass pass(config_, groups.size());
+  std::vector<SuffixResult> slots = learn(pass, addresses(groups), meas);
 
-  obs::Span run_span(tracer, "run_stream");
+  HoihoResult result;
+  for (SuffixResult& sr : slots)
+    if (sr.hostname_count > 0) result.suffixes.push_back(std::move(sr));
+  return result;
+}
 
-  // Per-hostname payloads point into the batch that owns the hostnames;
-  // strip them before the batch dies so streamed results are both safe and
-  // small (aggregate counts, the NC, learned hints, and the class survive).
-  const auto compact = [](SuffixResult& sr) {
-    std::vector<TaggedHostname>().swap(sr.tagged);
-    std::vector<HostnameEval>().swap(sr.eval.per_hostname);
-  };
-
-  // Same no-oversubscription clamp as run_instrumented.
-  const std::size_t threads =
-      std::min(util::ThreadPool::resolve(config_.threads), util::ThreadPool::resolve(0));
-  std::optional<util::WorkStealingPool> pool;
-  if (threads > 1) {
-    pool.emplace(threads);
-    if (pm != nullptr) pool->set_queue_wait_histogram(pm->pool_queue_wait_ns);
-  }
-
+HoihoResult Hoiho::run_stream(io::SuffixStream& stream) const {
+  // Batch sizes vary, so only threads and hardware bound the workers.
+  Pass pass(config_, std::numeric_limits<std::size_t>::max());
+  PipelineMetrics* pm = pass.pm;
+  obs::Span run_span(config_.tracer, "run_stream");
   HoihoResult result;
 
   // Durability (DESIGN.md §14): commit every batch's compacted results to a
@@ -534,54 +577,12 @@ HoihoResult Hoiho::run_stream_instrumented(io::SuffixStream& stream, obs::Regist
     batch = stream.next_batch();
   }
   while (batch) {
-    const std::vector<topo::SuffixGroup>& groups = batch->groups;
-    const measure::Measurements& meas = batch->pings;
-    total_suffixes += groups.size();
-    std::vector<SuffixResult> slots(groups.size());
-
-    if (pm != nullptr && config_.consistency_cache) {
-      // Every batch shares the campaign VP set, so this builds once and the
-      // grid cache serves every later batch.
-      if (const auto grid = expected_rtt_grid(meas))
-        pm->grid_cells.set(static_cast<std::int64_t>(grid->location_count() * grid->vp_count()));
-    }
-
+    total_suffixes += batch->groups.size();
+    // Double buffering: this thread renders batch k+1 while the workers
+    // learn batch k.
     std::optional<io::SuffixBatch> next;
-    if (!pool) {
-      for (std::size_t i = 0; i < groups.size(); ++i)
-        slots[i] = run_suffix_instrumented(groups[i], meas, pm, tracer);
-      next = stream.next_batch();
-    } else {
-      // Same cost-descending seeding as run(); results land by slot index,
-      // so stream order (and threads=1 equivalence) is preserved.
-      std::vector<std::size_t> order(groups.size());
-      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-      std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        return groups[a].hostnames.size() > groups[b].hostnames.size();
-      });
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve(order.size());
-      for (std::size_t idx : order)
-        tasks.push_back([this, &slots, &groups, &meas, pm, tracer, idx] {
-          slots[idx] = run_suffix_instrumented(groups[idx], meas, pm, tracer);
-        });
-      pool->seed(std::move(tasks));
-      // Double buffering: the main thread renders batch k+1 while the
-      // workers learn batch k. The stream is only ever touched from this
-      // thread; the workers only touch the current batch.
-      next = stream.next_batch();
-      if (config_.worker_stall_ms > 0) {
-        // Watchdog: surface workers stuck on one suffix (one episode per
-        // task) instead of blocking silently.
-        while (!pool->wait_idle_for(std::chrono::milliseconds(config_.worker_stall_ms))) {
-          const std::size_t stalled =
-              pool->scan_stalled(static_cast<std::uint64_t>(config_.worker_stall_ms));
-          if (pm != nullptr) pm->pool_worker_stalled.add(stalled);
-        }
-      } else {
-        pool->wait_idle();
-      }
-    }
+    std::vector<SuffixResult> slots = learn(pass, addresses(batch->groups), batch->pings,
+                                            [&] { next = stream.next_batch(); });
 
     const std::size_t batch_begin = result.suffixes.size();
     for (SuffixResult& sr : slots) {
@@ -604,11 +605,7 @@ HoihoResult Hoiho::run_stream_instrumented(io::SuffixStream& stream, obs::Regist
         break;
       }
     }
-    if (pm != nullptr) {
-      pm->stream_batches.inc();
-      pm->peak_rss_bytes.set(
-          std::max(pm->peak_rss_bytes.load(), static_cast<std::int64_t>(util::peak_rss_bytes())));
-    }
+    if (pm != nullptr) pm->stream_batches.inc();
     batch = std::move(next);
   }
   run_span.set_work(total_suffixes);
@@ -631,19 +628,13 @@ HoihoResult Hoiho::run_stream_instrumented(io::SuffixStream& stream, obs::Regist
     }
   }
 
-  if (pool && pm != nullptr) pm->fold_pool(pool->stats());
-  if (registry != nullptr) stream.report().publish(*registry, "stream");
+  if (config_.registry != nullptr) stream.report().publish(*config_.registry, "stream");
   return result;
 }
 
 DeltaRunReport Hoiho::run_delta(const WorldDelta& world, const PriorRun& prior) const {
   DeltaRunReport report;
-  std::optional<PipelineMetrics> metrics;
-  if (config_.registry != nullptr) metrics.emplace(*config_.registry);
-  PipelineMetrics* pm = metrics ? &*metrics : nullptr;
-  obs::Tracer* tracer = config_.tracer;
-
-  obs::Span run_span(tracer, "run_delta");
+  obs::Span run_span(config_.tracer, "run_delta");
   const std::vector<topo::SuffixGroup>& groups = world.changed.groups;
   const measure::Measurements& meas = world.changed.pings;
   run_span.set_work(groups.size());
@@ -661,65 +652,33 @@ DeltaRunReport Hoiho::run_delta(const WorldDelta& world, const PriorRun& prior) 
     report.error = "vantage-point set changed since the prior run (full relearn required)";
     return report;
   }
-  {
-    std::unordered_set<std::string_view> removed(world.removed.begin(), world.removed.end());
-    for (const topo::SuffixGroup& g : groups)
-      if (removed.contains(g.suffix)) {
-        report.error = "suffix '" + g.suffix + "' both changed and removed";
-        return report;
-      }
-  }
+  std::unordered_set<std::string_view> removed_set(world.removed.begin(), world.removed.end());
+  for (const topo::SuffixGroup& g : groups)
+    if (removed_set.contains(g.suffix)) {
+      report.error = "suffix '" + g.suffix + "' both changed and removed";
+      return report;
+    }
 
   // Diff: fingerprint every incoming group; an unchanged fingerprint means
   // the prior result (and all its ConsistencyCache/eval work) is reused
   // verbatim. A prior fingerprint of 0 (pre-fingerprint checkpoint) never
   // matches — unknown content is always dirty.
-  std::vector<std::size_t> dirty_idx;
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    const std::uint64_t fp = suffix_fingerprint(groups[i], meas);
-    const SuffixResult* prev = prior.find(groups[i].suffix);
-    if (prev != nullptr && prev->fingerprint != 0 && prev->fingerprint == fp)
+  std::vector<const topo::SuffixGroup*> dirty;
+  for (const topo::SuffixGroup& g : groups) {
+    const SuffixResult* prev = prior.find(g.suffix);
+    if (prev != nullptr && prev->fingerprint != 0 &&
+        prev->fingerprint == suffix_fingerprint(g, meas))
       ++report.reused;
     else
-      dirty_idx.push_back(i);
+      dirty.push_back(&g);
   }
 
-  // Relearn only the dirty suffixes — same clamp and cost-descending
-  // work-stealing seeding as run(); the shared expected-RTT grid memo
+  // Relearn only the dirty suffixes; the shared expected-RTT grid memo
   // serves every rerun.
   const auto t_relearn = std::chrono::steady_clock::now();
-  std::vector<SuffixResult> fresh(dirty_idx.size());
-  if (!dirty_idx.empty()) {
-    if (pm != nullptr && config_.consistency_cache) {
-      if (const auto grid = expected_rtt_grid(meas))
-        pm->grid_cells.set(static_cast<std::int64_t>(grid->location_count() * grid->vp_count()));
-    }
-    std::size_t threads = util::ThreadPool::resolve(config_.threads);
-    threads = std::min(threads, dirty_idx.size());
-    threads = std::min(threads, util::ThreadPool::resolve(0));
-    if (threads <= 1) {
-      for (std::size_t k = 0; k < dirty_idx.size(); ++k)
-        fresh[k] = run_suffix_instrumented(groups[dirty_idx[k]], meas, pm, tracer);
-    } else {
-      util::WorkStealingPool pool(threads);
-      if (pm != nullptr) pool.set_queue_wait_histogram(pm->pool_queue_wait_ns);
-      std::vector<std::size_t> order(dirty_idx.size());
-      for (std::size_t k = 0; k < order.size(); ++k) order[k] = k;
-      std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-        return groups[dirty_idx[a]].hostnames.size() > groups[dirty_idx[b]].hostnames.size();
-      });
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve(order.size());
-      for (std::size_t k : order)
-        tasks.push_back([this, &fresh, &groups, &dirty_idx, &meas, pm, tracer, k] {
-          fresh[k] = run_suffix_instrumented(groups[dirty_idx[k]], meas, pm, tracer);
-        });
-      pool.seed(std::move(tasks));
-      pool.wait_idle();
-      if (pm != nullptr) pm->fold_pool(pool.stats());
-    }
-  }
-  report.dirty = dirty_idx.size();
+  Pass pass(config_, dirty.size());
+  std::vector<SuffixResult> fresh = learn(pass, dirty, meas);
+  report.dirty = dirty.size();
   report.relearn_wall_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t_relearn)
           .count();
@@ -727,16 +686,9 @@ DeltaRunReport Hoiho::run_delta(const WorldDelta& world, const PriorRun& prior) 
   // Merge: prior order with dirty results swapped in and removals dropped;
   // brand-new suffixes append in group order. Fresh results are compacted
   // like run_stream's so chained PriorRuns stay bounded.
-  const auto compact = [](SuffixResult& sr) {
-    std::vector<TaggedHostname>().swap(sr.tagged);
-    std::vector<HostnameEval>().swap(sr.eval.per_hostname);
-  };
-  std::unordered_set<std::string_view> removed_set(world.removed.begin(), world.removed.end());
   std::unordered_map<std::string_view, std::size_t> fresh_by_suffix;
   fresh_by_suffix.reserve(fresh.size());
-  for (std::size_t k = 0; k < fresh.size(); ++k)
-    fresh_by_suffix[groups[dirty_idx[k]].suffix] = k;
-
+  for (std::size_t k = 0; k < fresh.size(); ++k) fresh_by_suffix[dirty[k]->suffix] = k;
   report.delta.base_generation = prior.generation;
   std::vector<char> fresh_used(fresh.size(), 0);
   report.result.suffixes.reserve(prior.results.size() + groups.size());
@@ -779,59 +731,38 @@ DeltaRunReport Hoiho::run_delta(const WorldDelta& world, const PriorRun& prior) 
   sort_conventions(report.delta.upserts);
   std::sort(report.delta.removes.begin(), report.delta.removes.end());
 
-  if (pm != nullptr) {
-    pm->delta_dirty.add(report.dirty);
-    pm->delta_reused.add(report.reused);
-    pm->delta_added.add(report.added);
-    pm->delta_removed.add(report.removed);
-    pm->delta_relearn_us.add(static_cast<std::uint64_t>(report.relearn_wall_ms * 1e3));
-    pm->peak_rss_bytes.set(
-        std::max(pm->peak_rss_bytes.load(), static_cast<std::int64_t>(util::peak_rss_bytes())));
+  if (pass.pm != nullptr) {
+    pass.pm->delta_dirty.add(report.dirty);
+    pass.pm->delta_reused.add(report.reused);
+    pass.pm->delta_added.add(report.added);
+    pass.pm->delta_removed.add(report.removed);
+    pass.pm->delta_relearn_us.add(static_cast<std::uint64_t>(report.relearn_wall_ms * 1e3));
   }
   return report;
 }
 
-HoihoResult Hoiho::run(const topo::Topology& topo, const measure::Measurements& meas) const {
-  return run_instrumented(topo, meas, config_.registry, config_.tracer);
-}
-
-HoihoResult Hoiho::run_stream(io::SuffixStream& stream) const {
-  return run_stream_instrumented(stream, config_.registry, config_.tracer);
-}
-
-RunReport Hoiho::run_stream_report(io::SuffixStream& stream) const {
+RunReport Hoiho::reported(const std::function<HoihoResult(const Hoiho&)>& body) const {
   std::optional<obs::Registry> own_registry;
   std::optional<obs::Tracer> own_tracer;
-  obs::Registry* registry = config_.registry;
-  obs::Tracer* tracer = config_.tracer;
-  if (registry == nullptr) registry = &own_registry.emplace();
-  if (tracer == nullptr) tracer = &own_tracer.emplace();
+  Hoiho h = *this;
+  if (h.config_.registry == nullptr) h.config_.registry = &own_registry.emplace();
+  if (h.config_.tracer == nullptr) h.config_.tracer = &own_tracer.emplace();
 
   RunReport report;
-  report.result = run_stream_instrumented(stream, registry, tracer);
-  report.metrics = registry->snapshot();
-  report.spans = tracer->spans();
-  report.dropped_spans = tracer->dropped();
+  report.result = body(h);
+  report.metrics = h.config_.registry->snapshot();
+  report.spans = h.config_.tracer->spans();
+  report.dropped_spans = h.config_.tracer->dropped();
   return report;
 }
 
 RunReport Hoiho::run_report(const topo::Topology& topo,
                             const measure::Measurements& meas) const {
-  // Private sinks when the config doesn't supply shared ones, so the report
-  // is self-contained either way.
-  std::optional<obs::Registry> own_registry;
-  std::optional<obs::Tracer> own_tracer;
-  obs::Registry* registry = config_.registry;
-  obs::Tracer* tracer = config_.tracer;
-  if (registry == nullptr) registry = &own_registry.emplace();
-  if (tracer == nullptr) tracer = &own_tracer.emplace();
+  return reported([&](const Hoiho& h) { return h.run(topo, meas); });
+}
 
-  RunReport report;
-  report.result = run_instrumented(topo, meas, registry, tracer);
-  report.metrics = registry->snapshot();
-  report.spans = tracer->spans();
-  report.dropped_spans = tracer->dropped();
-  return report;
+RunReport Hoiho::run_stream_report(io::SuffixStream& stream) const {
+  return reported([&](const Hoiho& h) { return h.run_stream(stream); });
 }
 
 }  // namespace hoiho::core

@@ -11,8 +11,10 @@
 // the geohints learned in stage 4, and the stage-5 classification.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 
 #include "core/apparent.h"
 #include "core/eval.h"
@@ -90,9 +92,10 @@ struct HoihoConfig {
   // run() (batch mode has no incremental commit points).
   std::string checkpoint_dir;
 
-  // Stall watchdog for the streaming learner's pool (0 = off): while
-  // waiting for a batch to finish, workers busy on one task longer than
-  // this are counted in `pool_worker_stalled` (one episode per task).
+  // Stall watchdog for every pooled call of run, run_stream and run_delta
+  // (0 = off): while waiting for a batch to finish, workers busy on one
+  // task longer than this are counted in `pool_worker_stalled` (one episode
+  // per task).
   int worker_stall_ms = 0;
 
   // Non-empty: run_stream writes the final learned model here when the
@@ -111,24 +114,6 @@ struct HoihoConfig {
   // don't have to manage them.
   obs::Registry* registry = nullptr;
   obs::Tracer* tracer = nullptr;
-};
-
-// Wall time per pipeline stage of one suffix run; benches aggregate these
-// into the per-stage breakdown in BENCH_PIPELINE.json.
-struct StageTimes {
-  double tag_ms = 0;    // stage 2: apparent-geohint tagging
-  double regex_ms = 0;  // stage 3 generation: base + merge + class embedding
-  double eval_ms = 0;   // stage 3 scoring: candidate ranking + NC building
-  double learn_ms = 0;  // stage 4: geohint learning + re-evaluation
-
-  StageTimes& operator+=(const StageTimes& o) {
-    tag_ms += o.tag_ms;
-    regex_ms += o.regex_ms;
-    eval_ms += o.eval_ms;
-    learn_ms += o.learn_ms;
-    return *this;
-  }
-  double total_ms() const { return tag_ms + regex_ms + eval_ms + learn_ms; }
 };
 
 // Result for one suffix.
@@ -248,6 +233,8 @@ class Hoiho {
 
  private:
   struct PipelineMetrics;  // registry handles, built once per run (hoiho.cc)
+  struct StageTimes;       // per-stage wall time of one suffix run (hoiho.cc)
+  struct Pass;             // one call's metrics, tracer and workers (hoiho.cc)
 
   // Expected-RTT grid memo, keyed by the VP coordinates it was built for
   // (the dictionary half of the key is fixed per Hoiho). Held behind a
@@ -264,12 +251,18 @@ class Hoiho {
   std::shared_ptr<const measure::ExpectedRttGrid> expected_rtt_grid(
       const measure::Measurements& meas) const;
 
-  // run() with explicit instrumentation sinks (either may be null).
-  HoihoResult run_instrumented(const topo::Topology& topo, const measure::Measurements& meas,
-                               obs::Registry* registry, obs::Tracer* tracer) const;
+  // The one learning driver behind run, run_stream and run_delta: learns
+  // `groups` against `meas` and returns their results in group order, on
+  // the pass's pool when it has one. `overlap` runs on the calling thread
+  // while the workers learn (run_stream renders the next batch there).
+  std::vector<SuffixResult> learn(Pass& pass, std::span<const topo::SuffixGroup* const> groups,
+                                  const measure::Measurements& meas,
+                                  const std::function<void()>& overlap = {}) const;
 
-  HoihoResult run_stream_instrumented(io::SuffixStream& stream, obs::Registry* registry,
-                                      obs::Tracer* tracer) const;
+  // The body of run_report/run_stream_report: runs `body` on a copy of this
+  // Hoiho (sharing the grid memo) that instruments into private sinks where
+  // the config supplies none, then snapshots them into the report.
+  RunReport reported(const std::function<HoihoResult(const Hoiho&)>& body) const;
 
   SuffixResult run_suffix_instrumented(const topo::SuffixGroup& group,
                                        const measure::Measurements& meas, PipelineMetrics* pm,

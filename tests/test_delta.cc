@@ -195,11 +195,14 @@ TEST(Delta, MismatchedSignaturesRefuseToRun) {
   const DeltaRunReport bad = Hoiho(dict, other).run_delta(wd, fx.prior);
   EXPECT_FALSE(bad.ok());
 
-  // ...but an output-invariant one (threads) does not.
+  // ...but an output-invariant one (threads) does not, and the threads=1
+  // run reproduces the threads=2 delta and merged model byte for byte.
   HoihoConfig rethreaded = fx.config;
   rethreaded.threads = 1;
   const DeltaRunReport good = Hoiho(dict, rethreaded).run_delta(wd, fx.prior);
-  EXPECT_TRUE(good.ok()) << good.error;
+  ASSERT_TRUE(good.ok()) << good.error;
+  EXPECT_EQ(serialize_model_delta(good.delta, dict), serialize_model_delta(fx.delta, dict));
+  EXPECT_EQ(serialized_model(model_stored(good.result)), fx.merged_bytes);
 }
 
 TEST(Delta, ApplyDeltaPublishesFromScratchBytes) {

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/delta.h"
 #include "core/hoiho.h"
 #include "io/load_report.h"
 #include "obs/metrics.h"
@@ -19,6 +20,7 @@
 #include "serve/protocol.h"
 #include "sim/probing.h"
 #include "sim/scenario.h"
+#include "sim/streaming.h"
 
 namespace hoiho {
 namespace {
@@ -352,6 +354,73 @@ TEST(PipelineObs, ParallelRunMatchesSequentialCounters) {
     EXPECT_GT(b.metrics.value("pipeline_pool_tasks_executed"), 0u);
   else
     EXPECT_EQ(b.metrics.value("pipeline_pool_tasks_executed"), 0u);
+}
+
+TEST(PipelineObs, EveryDriverPublishesGridRssAndPoolGauges) {
+  // run, run_stream and run_delta learn through one driver, which owns the
+  // grid, peak-RSS and pool gauges; each call lands them in the config's
+  // registry, an empty topology included.
+  const geo::GeoDictionary& dict = geo::builtin_dictionary();
+  core::HoihoConfig config;
+  config.threads = 4;
+  const auto check = [&](const obs::Registry& registry, std::size_t vps, std::uint64_t learned,
+                         const char* what) {
+    const obs::Snapshot snap = registry.snapshot();
+    ASSERT_TRUE(snap.has("pipeline_expected_rtt_grid_cells")) << what;
+    EXPECT_EQ(snap.value("pipeline_expected_rtt_grid_cells"), dict.size() * vps) << what;
+    EXPECT_GT(snap.find("pipeline_peak_rss_bytes")->gauge, 0) << what;
+    // Workers are clamped to hardware, so 1-core hosts run inline.
+    if (util::ThreadPool::resolve(0) > 1)
+      EXPECT_EQ(snap.value("pipeline_pool_tasks_executed"), learned) << what;
+  };
+
+  {
+    const sim::World world = small_world();
+    const measure::Measurements meas = sim::probe_pings(world, {});
+    obs::Registry registry;
+    core::HoihoConfig c = config;
+    c.registry = &registry;
+    const std::size_t groups = world.topology.group_by_suffix().size();
+    ASSERT_GT(groups, 1u);
+    core::Hoiho(dict, c).run(world.topology, meas);
+    check(registry, meas.vps.size(), groups, "run");
+
+    obs::Registry empty_registry;
+    c.registry = &empty_registry;
+    core::Hoiho(dict, c).run(topo::Topology{}, meas);
+    check(empty_registry, meas.vps.size(), 0, "run on an empty topology");
+  }
+
+  sim::StreamingWorldConfig swc;
+  swc.seed = 77;
+  swc.suffixes = 40;
+  swc.target_hostnames = 1200;
+  swc.max_hostnames_per_suffix = 256;
+  swc.vp_count = 16;
+  swc.batch_hostname_budget = 300;
+  swc.traits.geohint_scheme_rate = 0.8;
+  swc.traits.hostname_rate = 0.85;
+  sim::StreamingWorld base(dict, swc);
+  obs::Registry stream_registry;
+  core::HoihoConfig c = config;
+  c.registry = &stream_registry;
+  core::HoihoResult base_result = core::Hoiho(dict, c).run_stream(base);
+  check(stream_registry, base.vps().size(),
+        stream_registry.snapshot().value("pipeline_suffixes"), "run_stream");
+
+  const core::PriorRun prior =
+      core::PriorRun::capture(std::move(base_result), config, dict.size(), base.vps());
+  swc.churn_seed = 5;
+  swc.churn_frac = 0.4;
+  sim::StreamingWorld churned(dict, swc);
+  core::WorldDelta wd;
+  wd.changed = churned.render_batch(churned.churned_suffixes());
+  obs::Registry delta_registry;
+  c.registry = &delta_registry;
+  const core::DeltaRunReport rep = core::Hoiho(dict, c).run_delta(wd, prior);
+  ASSERT_TRUE(rep.ok()) << rep.error;
+  ASSERT_GT(rep.dirty, 1u);
+  check(delta_registry, churned.vps().size(), rep.dirty, "run_delta");
 }
 
 TEST(PipelineObs, RegistryIsTheOnlyCacheTelemetryPath) {
