@@ -74,6 +74,7 @@
 #include "serve/protocol.h"
 #include "sim/probing.h"
 #include "sim/streaming.h"
+#include "util/cli.h"
 #include "util/failpoint.h"
 #include "util/strings.h"
 
@@ -613,18 +614,13 @@ int main(int argc, char** argv) {
   bool quick = false;
   std::string binary = self_dir() + "/../src/hoihod";
   std::size_t operators = 32;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--hoihod" && i + 1 < argc) {
-      binary = argv[++i];
-    } else if (arg == "--operators" && i + 1 < argc) {
-      operators = static_cast<std::size_t>(std::atoi(argv[++i]));
-    } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--hoihod PATH] [--operators N]\n", argv[0]);
-      return 1;
-    }
+  util::Args args(argc, argv,
+                  "usage: chaos_serve [--quick] [--hoihod PATH] [--operators N]\n");
+  while (args.next()) {
+    if (args.is("--quick")) quick = true;
+    else if (args.is("--hoihod")) binary = args.value();
+    else if (args.is("--operators")) operators = static_cast<std::size_t>(std::atoi(args.value()));
+    else args.reject();
   }
   if (::access(binary.c_str(), X_OK) != 0) {
     std::fprintf(stderr, "chaos: hoihod binary not found at %s (use --hoihod)\n",

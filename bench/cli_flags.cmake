@@ -1,4 +1,4 @@
-# Flag-handling check for a bench binary, run by ctest:
+# Flag-handling check for a bench or example binary, run by ctest:
 #   cmake -DBIN=<path> -DWORK_DIR=<dir> -P cli_flags.cmake
 # --help must print usage on stdout, exit 0 and write no file; any other
 # unknown --flag must print usage and exit 2.

@@ -5,37 +5,27 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
+
+#include "util/cli.h"
 
 namespace hoiho::bench {
 
 double parse_args(int argc, char** argv, bool takes_scale) {
   const char* slash = std::strrchr(argv[0], '/');
-  const char* name = slash != nullptr ? slash + 1 : argv[0];
-  const auto usage = [&](std::FILE* out) {
-    if (takes_scale)
-      std::fprintf(out, "usage: %s [scale]\n  scale  positive world-size multiplier (default 1)\n",
-                   name);
-    else
-      std::fprintf(out, "usage: %s\n", name);
-  };
-  const auto fail = [&](const char* what, const char* arg) {
-    std::fprintf(stderr, "%s: %s %s\n", name, what, arg);
-    usage(stderr);
-    std::exit(2);
-  };
+  const std::string name = slash != nullptr ? slash + 1 : argv[0];
+  std::string usage = "usage: " + name;
+  usage += takes_scale ? " [scale]\n  scale  positive world-size multiplier (default 1)\n" : "\n";
+  util::Args args(argc, argv, std::move(usage));
   double scale = 1.0;
   bool have_scale = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--help") == 0) {
-      usage(stdout);
-      std::exit(0);
-    }
-    if (std::strncmp(argv[i], "--", 2) == 0) fail("unknown flag", argv[i]);
-    if (!takes_scale || have_scale) fail("unexpected argument", argv[i]);
+  while (args.next()) {
+    if (!takes_scale || have_scale || args.is_flag()) args.reject();
+    const std::string arg(args.arg());
     char* end = nullptr;
-    scale = std::strtod(argv[i], &end);
-    if (end == argv[i] || *end != '\0' || !std::isfinite(scale) || scale <= 0)
-      fail("scale must be a positive number, got", argv[i]);
+    scale = std::strtod(arg.c_str(), &end);
+    if (end == arg.c_str() || *end != '\0' || !std::isfinite(scale) || scale <= 0)
+      args.fail("scale must be a positive number, got " + arg);
     have_scale = true;
   }
   return scale;

@@ -40,6 +40,7 @@
 #include "fuse/audit.h"
 #include "geo/coord.h"
 #include "sim/probing.h"
+#include "util/cli.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -75,35 +76,16 @@ int main(int argc, char** argv) {
   double ambiguous_rate = 0.55;
   double anycast_rate = 0.02;
   std::size_t feed_rows = 2000;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    const auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--json") {
-      const char* v = value();
-      if (v == nullptr) return 1;
-      json_path = v;
-    } else if (arg == "--operators") {
-      const char* v = value();
-      if (v == nullptr) return 1;
-      operators = static_cast<std::size_t>(std::atoi(v));
-    } else if (arg == "--ambiguous-rate") {
-      const char* v = value();
-      if (v == nullptr) return 1;
-      ambiguous_rate = std::atof(v);
-    } else if (arg == "--anycast-rate") {
-      const char* v = value();
-      if (v == nullptr) return 1;
-      anycast_rate = std::atof(v);
-    } else if (arg == "--feed-rows") {
-      const char* v = value();
-      if (v == nullptr) return 1;
-      feed_rows = static_cast<std::size_t>(std::atoi(v));
-    } else {
-      std::fprintf(stderr, "fusion_eval: unknown flag '%s'\n", std::string(arg).c_str());
-      return 1;
-    }
+  util::Args args(argc, argv,
+                  "usage: fusion_eval [--json PATH] [--operators N] [--ambiguous-rate F]\n"
+                  "                   [--anycast-rate F] [--feed-rows N]\n");
+  while (args.next()) {
+    if (args.is("--json")) json_path = args.value();
+    else if (args.is("--operators")) operators = static_cast<std::size_t>(std::atoi(args.value()));
+    else if (args.is("--ambiguous-rate")) ambiguous_rate = std::atof(args.value());
+    else if (args.is("--anycast-rate")) anycast_rate = std::atof(args.value());
+    else if (args.is("--feed-rows")) feed_rows = static_cast<std::size_t>(std::atoi(args.value()));
+    else args.reject();
   }
 
   const geo::GeoDictionary& dict = geo::builtin_dictionary();

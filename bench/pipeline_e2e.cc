@@ -410,7 +410,7 @@ sim::StreamingWorldConfig tier_config(char scale) {
 int run_stream_tier(const std::string& scale, const std::string& out_path, int reps,
                     const std::string& checkpoint_dir, double delta_frac) {
   const sim::StreamingWorldConfig swc = tier_config(scale[0]);
-  const std::size_t hw = util::ThreadPool::resolve(0);
+  const std::size_t hw = util::WorkStealingPool::resolve(0);
   std::printf("pipeline_e2e --scale=%s: %zu suffixes, ~%zu hostnames target, %zu VPs, "
               "batch budget %zu, %zu hardware threads, best of %d reps%s\n\n",
               scale.c_str(), swc.suffixes, swc.target_hostnames, swc.vp_count,
@@ -581,7 +581,7 @@ int main(int argc, char** argv) {
   const auto groups = world.topology.group_by_suffix();
   for (const topo::SuffixGroup& g : groups) hostnames += g.hostnames.size();
 
-  const std::size_t hw = util::ThreadPool::resolve(0);
+  const std::size_t hw = util::WorkStealingPool::resolve(0);
   std::printf("pipeline_e2e: %zu operators, %zu routers, %zu hostnames, %zu suffix groups, "
               "%zu hardware threads, best of %d reps\n\n",
               world.operators.size(), world.topology.size(), hostnames, groups.size(), hw, reps);

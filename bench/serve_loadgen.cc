@@ -37,6 +37,7 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "sim/probing.h"
+#include "util/cli.h"
 #include "util/strings.h"
 
 using namespace hoiho;
@@ -237,63 +238,41 @@ std::vector<std::string> read_hosts(const std::string& path) {
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    const auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--port") {
-      const char* v = value();
-      if (v == nullptr) return 1;
-      opt.port = static_cast<std::uint16_t>(std::atoi(v));
+  util::Args args(argc, argv,
+                  "usage: serve_loadgen [--spawn | --port P [--host H] --hosts FILE]\n"
+                  "                     [--connections N] [--pipeline W] [--duration-s S]\n"
+                  "                     [--operators N] [--geo-frac F] [--batch-size N]\n"
+                  "                     [--no-reload] [--json PATH]\n");
+  while (args.next()) {
+    if (args.is("--port")) {
+      opt.port = static_cast<std::uint16_t>(std::atoi(args.value()));
       opt.spawn = false;
-    } else if (arg == "--host") {
-      const char* v = value();
-      if (v == nullptr) return 1;
-      opt.host = v;
-    } else if (arg == "--hosts") {
-      const char* v = value();
-      if (v == nullptr) return 1;
-      opt.hosts_file = v;
-    } else if (arg == "--json") {
-      const char* v = value();
-      if (v == nullptr) return 1;
-      opt.json_path = v;
-    } else if (arg == "--connections") {
-      const char* v = value();
-      if (v == nullptr) return 1;
-      opt.connections = static_cast<std::size_t>(std::atoi(v));
-    } else if (arg == "--pipeline") {
-      const char* v = value();
-      if (v == nullptr) return 1;
-      opt.pipeline = static_cast<std::size_t>(std::atoi(v));
-    } else if (arg == "--duration-s") {
-      const char* v = value();
-      if (v == nullptr) return 1;
-      opt.duration_s = std::atof(v);
-    } else if (arg == "--operators") {
-      const char* v = value();
-      if (v == nullptr) return 1;
-      opt.operators = static_cast<std::size_t>(std::atoi(v));
-    } else if (arg == "--geo-frac") {
-      const char* v = value();
-      if (v == nullptr) return 1;
-      opt.geo_frac = std::atof(v);
-    } else if (arg == "--batch-size") {
-      const char* v = value();
-      if (v == nullptr) return 1;
-      opt.batch_size = static_cast<std::size_t>(std::atoi(v));
-      if (opt.batch_size == 0 || opt.batch_size > serve::kMaxGeobBatch) {
-        std::fprintf(stderr, "loadgen: --batch-size takes 1..%zu\n", serve::kMaxGeobBatch);
-        return 1;
-      }
-    } else if (arg == "--spawn") {
+    } else if (args.is("--host")) {
+      opt.host = args.value();
+    } else if (args.is("--hosts")) {
+      opt.hosts_file = args.value();
+    } else if (args.is("--json")) {
+      opt.json_path = args.value();
+    } else if (args.is("--connections")) {
+      opt.connections = static_cast<std::size_t>(std::atoi(args.value()));
+    } else if (args.is("--pipeline")) {
+      opt.pipeline = static_cast<std::size_t>(std::atoi(args.value()));
+    } else if (args.is("--duration-s")) {
+      opt.duration_s = std::atof(args.value());
+    } else if (args.is("--operators")) {
+      opt.operators = static_cast<std::size_t>(std::atoi(args.value()));
+    } else if (args.is("--geo-frac")) {
+      opt.geo_frac = std::atof(args.value());
+    } else if (args.is("--batch-size")) {
+      opt.batch_size = static_cast<std::size_t>(std::atoi(args.value()));
+      if (opt.batch_size == 0 || opt.batch_size > serve::kMaxGeobBatch)
+        args.fail("--batch-size takes 1.." + std::to_string(serve::kMaxGeobBatch));
+    } else if (args.is("--spawn")) {
       opt.spawn = true;
-    } else if (arg == "--no-reload") {
+    } else if (args.is("--no-reload")) {
       opt.reload_mid_run = false;
     } else {
-      std::fprintf(stderr, "loadgen: unknown flag '%s'\n", std::string(arg).c_str());
-      return 1;
+      args.reject();
     }
   }
 

@@ -19,6 +19,7 @@
 #include "core/learn.h"
 #include "geo/dictionary.h"
 #include "regex/parser.h"
+#include "util/cli.h"
 
 using namespace hoiho;
 
@@ -64,7 +65,9 @@ void report(const geo::GeoDictionary& dict, const core::NamingConvention& nc,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  util::Args args(argc, argv, "usage: custom_geohints\n");
+  while (args.next()) args.reject();
   const geo::GeoDictionary& dict = geo::builtin_dictionary();
 
   // --- Figure 8a: he.net's "ash" ---------------------------------------------

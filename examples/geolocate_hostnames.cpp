@@ -28,6 +28,7 @@
 #include "core/hoiho.h"
 #include "core/nc_io.h"
 #include "sim/probing.h"
+#include "util/cli.h"
 
 using namespace hoiho;
 
@@ -59,15 +60,21 @@ std::vector<core::StoredConvention> load_model(const std::string& path,
 int main(int argc, char** argv) {
   const geo::GeoDictionary& dict = geo::builtin_dictionary();
 
+  util::Args args(argc, argv, "usage: geolocate_hostnames [n_operators] [--model FILE]\n");
   std::string model_path;
   std::size_t operators = 60;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--model" && i + 1 < argc) {
-      model_path = argv[++i];
-    } else {
-      operators = static_cast<std::size_t>(std::atoi(argv[i]));
+  for (bool have_operators = false; args.next();) {
+    if (args.is("--model")) {
+      model_path = args.value();
+      continue;
     }
+    if (have_operators || args.is_flag()) args.reject();
+    const std::string arg(args.arg());
+    char* end = nullptr;
+    operators = std::strtoul(arg.c_str(), &end, 10);
+    if (end == arg.c_str() || *end != '\0' || operators == 0)
+      args.fail("n_operators must be a positive integer, got " + arg);
+    have_operators = true;
   }
 
   sim::WorldConfig config;

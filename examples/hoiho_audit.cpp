@@ -17,7 +17,8 @@
 //   learn conventions, synthesize a feed where every tenth row claims a
 //   far-away city, and audit it. Shows the full loop without any files.
 //
-// Exit code: 0 if the audit ran (regardless of outcomes), 1 on bad input.
+// Exit code: 0 if the audit ran (regardless of outcomes), 1 on bad input,
+// 2 on a bad command line.
 
 #include <cstdio>
 #include <cstdlib>
@@ -31,6 +32,7 @@
 #include "fuse/audit.h"
 #include "measure/rtt_io.h"
 #include "sim/probing.h"
+#include "util/cli.h"
 #include "util/rng.h"
 
 using namespace hoiho;
@@ -118,23 +120,19 @@ int main(int argc, char** argv) {
   std::string model_path, subjects_path, rtt_path, feed_path, population_path;
   double agree_km = 100.0;
   std::size_t show = 10;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const bool has_value = i + 1 < argc;
-    if (arg == "--model" && has_value) model_path = argv[++i];
-    else if (arg == "--subjects" && has_value) subjects_path = argv[++i];
-    else if (arg == "--rtt" && has_value) rtt_path = argv[++i];
-    else if (arg == "--feed" && has_value) feed_path = argv[++i];
-    else if (arg == "--population" && has_value) population_path = argv[++i];
-    else if (arg == "--agree-km" && has_value) agree_km = std::atof(argv[++i]);
-    else if (arg == "--show" && has_value) show = static_cast<std::size_t>(std::atoi(argv[++i]));
-    else {
-      std::fprintf(stderr,
-                   "usage: hoiho_audit [--model FILE --subjects FILE --rtt FILE --feed FILE]\n"
-                   "                   [--population FILE] [--agree-km KM] [--show N]\n"
-                   "with no flags, runs a self-contained synthetic demo\n");
-      return 1;
-    }
+  util::Args args(argc, argv,
+                  "usage: hoiho_audit [--model FILE --subjects FILE --rtt FILE --feed FILE]\n"
+                  "                   [--population FILE] [--agree-km KM] [--show N]\n"
+                  "with no flags, runs a self-contained synthetic demo\n");
+  while (args.next()) {
+    if (args.is("--model")) model_path = args.value();
+    else if (args.is("--subjects")) subjects_path = args.value();
+    else if (args.is("--rtt")) rtt_path = args.value();
+    else if (args.is("--feed")) feed_path = args.value();
+    else if (args.is("--population")) population_path = args.value();
+    else if (args.is("--agree-km")) agree_km = std::atof(args.value());
+    else if (args.is("--show")) show = static_cast<std::size_t>(std::atoi(args.value()));
+    else args.reject();
   }
   if (model_path.empty()) return run_demo(show);
   if (subjects_path.empty() || feed_path.empty()) {

@@ -21,6 +21,7 @@
 #include "core/nc_io.h"
 #include "core/ncb.h"
 #include "geo/dictionary.h"
+#include "util/cli.h"
 
 using namespace hoiho;
 
@@ -77,13 +78,16 @@ bool load_any(const std::string& path, const geo::GeoDictionary& dict,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc != 3) {
-    std::fprintf(stderr, "usage: %s IN OUT   (OUT ending in .ncb → binary, else text)\n",
-                 argv[0]);
-    return 2;
+  util::Args args(argc, argv,
+                  "usage: hoiho_convert IN OUT   (OUT ending in .ncb → binary, else text)\n");
+  std::vector<std::string> paths;
+  while (args.next()) {
+    if (args.is_flag() || paths.size() == 2) args.reject();
+    paths.emplace_back(args.arg());
   }
-  const std::string in_path = argv[1];
-  const std::string out_path = argv[2];
+  if (paths.size() != 2) args.fail("needs IN and OUT");
+  const std::string& in_path = paths[0];
+  const std::string& out_path = paths[1];
   const geo::GeoDictionary& dict = geo::builtin_dictionary();
 
   std::vector<core::StoredConvention> stored;

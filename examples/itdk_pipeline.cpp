@@ -3,7 +3,7 @@
 // of real ITDK data would), run the learner, and dump the per-suffix
 // conventions — the shape of the paper's published regex website.
 //
-// Run: ./build/examples/itdk_pipeline [output_dir]
+// Run: ./build/examples/itdk_pipeline [output_dir]   (default itdk_out)
 
 #include <cstdio>
 #include <filesystem>
@@ -14,12 +14,18 @@
 #include "core/nc_io.h"
 #include "sim/scenario.h"
 #include "topo/itdk_io.h"
+#include "util/cli.h"
 #include "util/strings.h"
 
 using namespace hoiho;
 
 int main(int argc, char** argv) {
-  const std::filesystem::path dir = argc > 1 ? argv[1] : "itdk_out";
+  util::Args args(argc, argv, "usage: itdk_pipeline [output_dir]   (default itdk_out)\n");
+  std::filesystem::path dir = "itdk_out";
+  for (bool have_dir = false; args.next(); have_dir = true) {
+    if (have_dir || args.is_flag()) args.reject();
+    dir = args.arg();
+  }
   std::filesystem::create_directories(dir);
 
   // 1. Generate a small IPv4-style world and probe it.

@@ -16,6 +16,7 @@
 #include "geo/dictionary.h"
 #include "sim/internet.h"
 #include "sim/probing.h"
+#include "util/cli.h"
 
 using namespace hoiho;
 
@@ -29,7 +30,9 @@ geo::LocationId city(const geo::GeoDictionary& dict, const char* name, const cha
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  util::Args args(argc, argv, "usage: quickstart\n");
+  while (args.next()) args.reject();
   const geo::GeoDictionary& dict = geo::builtin_dictionary();
 
   // 1. Build a tiny topology: one operator ("example.net") with routers in

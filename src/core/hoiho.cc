@@ -421,8 +421,8 @@ struct Hoiho::Pass {
 
   Pass(const HoihoConfig& config, std::size_t max_tasks) : tracer(config.tracer) {
     if (config.registry != nullptr) pm = &metrics.emplace(*config.registry);
-    const std::size_t threads = std::min(
-        {util::ThreadPool::resolve(config.threads), max_tasks, util::ThreadPool::resolve(0)});
+    const std::size_t threads = std::min({util::WorkStealingPool::resolve(config.threads),
+                                          max_tasks, util::WorkStealingPool::resolve(0)});
     if (threads > 1) {
       pool.emplace(threads);
       if (pm != nullptr) pool->set_queue_wait_histogram(pm->pool_queue_wait_ns);

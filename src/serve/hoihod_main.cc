@@ -13,8 +13,7 @@
 // The GEO verb fuses hostname extraction with RTT feasibility and a
 // population prior (DESIGN.md §13). Feed it measurements with:
 //
-//   hoihod --model conv.txt --subjects subj.csv --rtt rtt.txt \
-//          [--population pop.csv]
+//   hoihod --model conv.txt --subjects subj.csv --rtt rtt.txt [--population pop.csv]
 //
 // --subjects maps servable subjects (addresses/hostnames) to the router
 // ids the RTT file samples; without it GEO still answers from the
@@ -47,6 +46,7 @@
 #include "serve/metrics_http.h"
 #include "serve/server.h"
 #include "sim/probing.h"
+#include "util/cli.h"
 #include "util/failpoint.h"
 
 using namespace hoiho;
@@ -57,34 +57,30 @@ std::atomic<int> g_signal{0};
 
 void on_signal(int sig) { g_signal.store(sig, std::memory_order_relaxed); }
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s --model FILE [--port N] [--workers N] [--bind-any]\n"
-               "          [--port-file FILE] [--watch-ms N] [--deadline-ms N]\n"
-               "          [--idle-timeout-ms N] [--max-inflight N] [--drain-timeout-ms N]\n"
-               "          [--metrics-port N] [--subjects FILE] [--rtt FILE]\n"
-               "          [--population FILE] [--rtt-slack-ms X]\n"
-               "          [--keep-generations N] [--canary-file FILE]\n"
-               "          [--worker-stall-ms N] [--delta-watch FILE]\n"
-               "       %s --write-demo-model FILE [--operators N] [--hosts-out FILE]\n"
-               "          [--rtt-out FILE] [--subjects-out FILE]\n"
-               "--subjects + --rtt arm the GEO verb with RTT feasibility filtering\n"
-               "(subject,router[,hostname] CSV + a V/R measurement file); --population\n"
-               "overrides dictionary populations (city[,state],country,population).\n"
-               "--metrics-port serves Prometheus text over HTTP (GET /metrics); the\n"
-               "same data is available in-protocol via the METRICS and STATS2 verbs.\n"
-               "--keep-generations archives the last N published models next to\n"
-               "--model (GENS lists them, ROLLBACK <gen> re-serves one);\n"
-               "--canary-file replays pinned queries before publishing a reload and\n"
-               "rejects the new model on any divergence; --worker-stall-ms counts\n"
-               "lookup workers stuck on one batch longer than N ms.\n"
-               "--delta-watch (or HOIHO_DELTA=FILE) polls FILE for model deltas:\n"
-               "each rewrite is applied onto the serving generation via DELTA\n"
-               "semantics (stale-base and torn files are rejected, not served).\n"
-               "HOIHO_FAILPOINTS=site=spec;... injects faults (testing only).\n",
-               argv0, argv0);
-  return 1;
-}
+constexpr const char* kUsage =
+    "usage: hoihod --model FILE [--port N] [--workers N] [--bind-any]\n"
+    "              [--port-file FILE] [--watch-ms N] [--deadline-ms N]\n"
+    "              [--idle-timeout-ms N] [--max-inflight N] [--drain-timeout-ms N]\n"
+    "              [--metrics-port N] [--subjects FILE] [--rtt FILE]\n"
+    "              [--population FILE] [--rtt-slack-ms X]\n"
+    "              [--keep-generations N] [--canary-file FILE]\n"
+    "              [--worker-stall-ms N] [--delta-watch FILE]\n"
+    "       hoihod --write-demo-model FILE [--operators N] [--hosts-out FILE]\n"
+    "              [--rtt-out FILE] [--subjects-out FILE]\n"
+    "--subjects + --rtt arm the GEO verb with RTT feasibility filtering\n"
+    "(subject,router[,hostname] CSV + a V/R measurement file); --population\n"
+    "overrides dictionary populations (city[,state],country,population).\n"
+    "--metrics-port serves Prometheus text over HTTP (GET /metrics); the\n"
+    "same data is available in-protocol via the METRICS and STATS2 verbs.\n"
+    "--keep-generations archives the last N published models next to\n"
+    "--model (GENS lists them, ROLLBACK <gen> re-serves one);\n"
+    "--canary-file replays pinned queries before publishing a reload and\n"
+    "rejects the new model on any divergence; --worker-stall-ms counts\n"
+    "lookup workers stuck on one batch longer than N ms.\n"
+    "--delta-watch (or HOIHO_DELTA=FILE) polls FILE for model deltas:\n"
+    "each rewrite is applied onto the serving generation via DELTA\n"
+    "semantics (stale-base and torn files are rejected, not served).\n"
+    "HOIHO_FAILPOINTS=site=spec;... injects faults (testing only).\n";
 
 int write_demo_model(const std::string& model_path, std::size_t operators,
                      const std::string& hosts_path, const std::string& rtt_path,
@@ -188,117 +184,66 @@ int main(int argc, char** argv) {
   std::string canary_path, delta_path;
   int worker_stall_ms = 0;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    const auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--model") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      model_path = v;
-    } else if (arg == "--write-demo-model") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      demo_path = v;
-    } else if (arg == "--hosts-out") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      hosts_path = v;
-    } else if (arg == "--rtt-out") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      rtt_out = v;
-    } else if (arg == "--subjects-out") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      subjects_out = v;
-    } else if (arg == "--rtt") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      rtt_path = v;
-    } else if (arg == "--subjects") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      subjects_path = v;
-    } else if (arg == "--population") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      population_path = v;
-    } else if (arg == "--rtt-slack-ms") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      rtt_slack_ms = std::atof(v);
-    } else if (arg == "--port-file") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      port_file = v;
-    } else if (arg == "--port") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      port = static_cast<std::uint16_t>(std::atoi(v));
-    } else if (arg == "--workers") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      workers = static_cast<std::size_t>(std::atoi(v));
-    } else if (arg == "--operators") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      operators = static_cast<std::size_t>(std::atoi(v));
-    } else if (arg == "--watch-ms") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      watch_ms = std::atoi(v);
-    } else if (arg == "--deadline-ms") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      deadline_ms = std::atoi(v);
-    } else if (arg == "--idle-timeout-ms") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      idle_timeout_ms = std::atoi(v);
-    } else if (arg == "--max-inflight") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      max_inflight = static_cast<std::size_t>(std::atoi(v));
-    } else if (arg == "--drain-timeout-ms") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      drain_timeout_ms = std::atoi(v);
-    } else if (arg == "--metrics-port") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      metrics_port = std::atoi(v);
-    } else if (arg == "--keep-generations") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      keep_generations = static_cast<std::size_t>(std::atoi(v));
-    } else if (arg == "--canary-file") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      canary_path = v;
-    } else if (arg == "--worker-stall-ms") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      worker_stall_ms = std::atoi(v);
-    } else if (arg == "--delta-watch") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      delta_path = v;
-    } else if (arg == "--bind-any") {
+  util::Args args(argc, argv, kUsage);
+  while (args.next()) {
+    if (args.is("--model")) {
+      model_path = args.value();
+    } else if (args.is("--write-demo-model")) {
+      demo_path = args.value();
+    } else if (args.is("--hosts-out")) {
+      hosts_path = args.value();
+    } else if (args.is("--rtt-out")) {
+      rtt_out = args.value();
+    } else if (args.is("--subjects-out")) {
+      subjects_out = args.value();
+    } else if (args.is("--rtt")) {
+      rtt_path = args.value();
+    } else if (args.is("--subjects")) {
+      subjects_path = args.value();
+    } else if (args.is("--population")) {
+      population_path = args.value();
+    } else if (args.is("--rtt-slack-ms")) {
+      rtt_slack_ms = std::atof(args.value());
+    } else if (args.is("--port-file")) {
+      port_file = args.value();
+    } else if (args.is("--port")) {
+      port = static_cast<std::uint16_t>(std::atoi(args.value()));
+    } else if (args.is("--workers")) {
+      workers = static_cast<std::size_t>(std::atoi(args.value()));
+    } else if (args.is("--operators")) {
+      operators = static_cast<std::size_t>(std::atoi(args.value()));
+    } else if (args.is("--watch-ms")) {
+      watch_ms = std::atoi(args.value());
+    } else if (args.is("--deadline-ms")) {
+      deadline_ms = std::atoi(args.value());
+    } else if (args.is("--idle-timeout-ms")) {
+      idle_timeout_ms = std::atoi(args.value());
+    } else if (args.is("--max-inflight")) {
+      max_inflight = static_cast<std::size_t>(std::atoi(args.value()));
+    } else if (args.is("--drain-timeout-ms")) {
+      drain_timeout_ms = std::atoi(args.value());
+    } else if (args.is("--metrics-port")) {
+      metrics_port = std::atoi(args.value());
+    } else if (args.is("--keep-generations")) {
+      keep_generations = static_cast<std::size_t>(std::atoi(args.value()));
+    } else if (args.is("--canary-file")) {
+      canary_path = args.value();
+    } else if (args.is("--worker-stall-ms")) {
+      worker_stall_ms = std::atoi(args.value());
+    } else if (args.is("--delta-watch")) {
+      delta_path = args.value();
+    } else if (args.is("--bind-any")) {
       bind_any = true;
     } else {
-      return usage(argv[0]);
+      args.reject();
     }
   }
 
   if (!demo_path.empty())
     return write_demo_model(demo_path, operators, hosts_path, rtt_out, subjects_out);
-  if (model_path.empty()) return usage(argv[0]);
-  if (!rtt_path.empty() && subjects_path.empty()) {
-    std::fprintf(stderr, "hoihod: --rtt requires --subjects (router id mapping)\n");
-    return usage(argv[0]);
-  }
+  if (model_path.empty()) args.fail("needs --model FILE or --write-demo-model FILE");
+  if (!rtt_path.empty() && subjects_path.empty())
+    args.fail("--rtt requires --subjects (router id mapping)");
 
   {
     std::string fp_error;

@@ -196,7 +196,7 @@ std::optional<std::string> ModelStore::reload_locked() {
   const auto t0 = std::chrono::steady_clock::now();
   // Record the stamp before parsing so a write racing the load triggers one
   // more watch cycle rather than being missed.
-  loaded_stamp_ = file_stamp(path_);
+  model_watch_.recorded = file_stamp(path_);
   if (const auto f = util::failpoint::hit("store.reload"))
     return "model file '" + path_ + "': injected reload failure";
 
@@ -237,7 +237,7 @@ std::optional<std::string> ModelStore::reload_locked() {
   opts.archive_bytes = archive_bytes;
   if (const auto rejected = publish_locked(std::move(snap), opts, nullptr)) {
     // The candidate parsed but fails the health gate: keep the previous
-    // generation serving. loaded_stamp_ was already recorded, so the
+    // generation serving. The watch stamp was already recorded, so the
     // watcher won't retry the same bad file every poll.
     return "model file '" + path_ + "': " + *rejected;
   }
@@ -453,29 +453,34 @@ void ModelStore::set_fuse_context(std::shared_ptr<const fuse::FuseContext> ctx) 
   publish_locked(std::move(snap), opts, nullptr);
 }
 
-ModelStore::WatchOutcome ModelStore::poll_watch(std::string* error) {
-  std::lock_guard lock(reload_mu_);
-  if (path_.empty()) return WatchOutcome::kUnchanged;
-  const FileStamp now = file_stamp(path_);
+std::optional<ModelStore::WatchOutcome> ModelStore::Watch::step(const std::string& path) {
+  if (path.empty()) return WatchOutcome::kUnchanged;
+  const FileStamp now = file_stamp(path);
   if (!now.exists) {
-    // Mid-rename window of a deploy (or a genuinely deleted model). Keep
+    // Mid-rename window of a deploy (or a genuinely deleted file). Keep
     // serving the loaded snapshot and keep watching; don't count this as a
     // failed reload.
-    pending_valid_ = false;
+    pending_valid = false;
     return WatchOutcome::kMissing;
   }
-  if (now.same(loaded_stamp_)) {
-    pending_valid_ = false;
+  if (now.same(recorded)) {
+    pending_valid = false;
     return WatchOutcome::kUnchanged;
   }
-  if (!pending_valid_ || !now.same(pending_stamp_)) {
+  if (!pending_valid || !now.same(pending)) {
     // New mtime: wait until it holds still for one full poll interval so we
     // don't load a file another process is still writing.
-    pending_stamp_ = now;
-    pending_valid_ = true;
+    pending = now;
+    pending_valid = true;
     return WatchOutcome::kDebounced;
   }
-  pending_valid_ = false;
+  pending_valid = false;
+  return std::nullopt;
+}
+
+ModelStore::WatchOutcome ModelStore::poll_watch(std::string* error) {
+  std::lock_guard lock(reload_mu_);
+  if (const auto idle = model_watch_.step(path_)) return *idle;
   if (const auto err = reload_locked()) {
     if (error != nullptr) *error = *err;
     return WatchOutcome::kReloadFailed;
@@ -607,33 +612,15 @@ std::optional<std::string> ModelStore::apply_delta_file(const std::string& path,
 void ModelStore::set_delta_watch(std::string path) {
   std::lock_guard lock(reload_mu_);
   delta_path_ = std::move(path);
-  delta_stamp_ = FileStamp{};
-  delta_pending_valid_ = false;
+  delta_watch_ = Watch{};
 }
 
 ModelStore::WatchOutcome ModelStore::poll_delta_watch(std::string* error) {
   std::unique_lock lock(reload_mu_);
-  if (delta_path_.empty()) return WatchOutcome::kUnchanged;
-  const FileStamp now = file_stamp(delta_path_);
-  if (!now.exists) {
-    delta_pending_valid_ = false;
-    return WatchOutcome::kMissing;
-  }
-  if (now.same(delta_stamp_)) {
-    delta_pending_valid_ = false;
-    return WatchOutcome::kUnchanged;
-  }
-  if (!delta_pending_valid_ || !now.same(delta_pending_stamp_)) {
-    // Same debounce as the model watch: a delta is dropped in by rename,
-    // but a new mtime must hold still for one poll before we read it.
-    delta_pending_stamp_ = now;
-    delta_pending_valid_ = true;
-    return WatchOutcome::kDebounced;
-  }
-  delta_pending_valid_ = false;
+  if (const auto idle = delta_watch_.step(delta_path_)) return *idle;
   // Record before applying: a failed or stale delta is reported once per
   // file change, not once per poll (same contract as poll_watch).
-  delta_stamp_ = now;
+  delta_watch_.recorded = delta_watch_.pending;
   const std::string path = delta_path_;
   lock.unlock();
   if (const auto err = apply_delta_file(path)) {

@@ -242,6 +242,20 @@ class ModelStore {
   };
 
   static FileStamp file_stamp(const std::string& path);
+
+  // One mtime watcher (poll_watch's model, poll_delta_watch's delta); its
+  // owner holds reload_mu_. `recorded` is the stamp at the last (attempted)
+  // load or apply: reload_locked records the model's, poll_delta_watch the
+  // delta's, so a failure is reported once per file change, not per poll.
+  struct Watch {
+    FileStamp recorded;
+    FileStamp pending;  // candidate awaiting debounce
+    bool pending_valid = false;
+    // One poll step over `path`: the idle outcome (kUnchanged, kMissing,
+    // kDebounced), or nullopt once a new stamp has held still for a poll
+    // and the caller should load the file (`pending` holds its stamp).
+    std::optional<WatchOutcome> step(const std::string& path);
+  };
   // The swap itself (numbers the snapshot, flips snap_); publish() adds the
   // gate/archive/metrics around it. Requires reload_mu_.
   void swap_in_locked(std::shared_ptr<ModelSnapshot> snap);
@@ -276,13 +290,9 @@ class ModelStore {
   long long pending_load_us_ = -1;     // boot-load cost awaiting metrics; reload_mu_
   std::string pending_load_format_;    // guarded by reload_mu_
   std::size_t pending_load_mapped_ = 0;  // guarded by reload_mu_
-  FileStamp loaded_stamp_;             // stamp at last (attempted) load; reload_mu_
-  FileStamp pending_stamp_;            // candidate stamp awaiting debounce; reload_mu_
-  bool pending_valid_ = false;         // guarded by reload_mu_
+  Watch model_watch_;                  // guarded by reload_mu_
   std::string delta_path_;             // delta watch target; reload_mu_
-  FileStamp delta_stamp_;              // stamp at last (attempted) apply; reload_mu_
-  FileStamp delta_pending_stamp_;      // candidate awaiting debounce; reload_mu_
-  bool delta_pending_valid_ = false;   // guarded by reload_mu_
+  Watch delta_watch_;                  // guarded by reload_mu_
   mutable std::mutex snap_mu_;         // guards snap_ swap/copy only
   std::shared_ptr<const ModelSnapshot> snap_;
 };

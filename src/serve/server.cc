@@ -81,7 +81,8 @@ bool Server::start(std::string* error) {
     if (error != nullptr) *error = std::string("epoll_ctl: ") + std::strerror(errno);
     return false;
   }
-  pool_ = std::make_unique<util::ThreadPool>(util::ThreadPool::resolve(config_.workers));
+  pool_ = std::make_unique<util::WorkStealingPool>(
+      util::WorkStealingPool::resolve(config_.workers));
   return true;
 }
 

@@ -3,12 +3,14 @@
 //
 // Threading model — one I/O thread, N lookup workers:
 //
-//   event loop (run())      util::ThreadPool workers
-//   ─────────────────       ────────────────────────
+//   event loop (run())      util::WorkStealingPool workers
+//   ─────────────────       ──────────────────────────────
 //   accept / read bytes
 //   split complete lines
 //   batch -> submit ──────> grab ModelStore snapshot once per batch,
-//                           answer every line, time the lookups
+//   (blocks while           answer every line, time the lookups
+//    kMaxQueued = 256
+//    batches wait)
 //   drain completions <──── push result + wake via eventfd
 //   reorder per-connection
 //   write / backpressure
@@ -173,7 +175,7 @@ class Server {
   util::Fd wake_fd_;  // eventfd: worker completions + stop()
   std::uint16_t port_ = 0;
 
-  std::unique_ptr<util::ThreadPool> pool_;
+  std::unique_ptr<util::WorkStealingPool> pool_;
   std::mutex completions_mu_;
   std::vector<Completion> completions_;
 

@@ -15,115 +15,7 @@ std::uint64_t steady_now_ns() {
           .count());
 }
 
-// Shared scan_stalled body (contract in the header). The scanner reads
-// busy_since first, then task_seq: if the worker finishes and starts a new
-// task in between, the worst case is one stall attributed to the newer seq
-// — an off-by-one in attribution, never a double count.
-std::size_t scan_heartbeats(std::vector<Heartbeat>& hbs, std::vector<std::uint64_t>& reported,
-                            std::uint64_t threshold_ms) {
-  if (reported.size() != hbs.size()) reported.assign(hbs.size(), 0);
-  const std::uint64_t now = steady_now_ns();
-  const std::uint64_t threshold_ns = threshold_ms * 1'000'000ULL;
-  std::size_t fresh = 0;
-  for (std::size_t i = 0; i < hbs.size(); ++i) {
-    const std::uint64_t busy = hbs[i].busy_since_ns.load(std::memory_order_acquire);
-    if (busy == 0 || now - busy < threshold_ns) continue;
-    const std::uint64_t seq = hbs[i].task_seq.load(std::memory_order_acquire);
-    if (seq == reported[i]) continue;  // this episode already counted
-    reported[i] = seq;
-    ++fresh;
-  }
-  return fresh;
-}
-
 }  // namespace
-
-ThreadPool::ThreadPool(std::size_t threads, std::size_t queue_capacity)
-    : queue_capacity_(queue_capacity == 0 ? 1 : queue_capacity) {
-  if (threads == 0) threads = 1;
-  executed_per_worker_.assign(threads, 0);
-  heartbeats_ = std::vector<Heartbeat>(threads);
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i)
-    workers_.emplace_back([this, i](std::stop_token stop) { worker(stop, i); });
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard lock(mu_);
-    stopping_ = true;
-  }
-  for (std::jthread& w : workers_) w.request_stop();
-  cv_work_.notify_all();
-  // jthread destructors join; workers drain the queue before exiting.
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::unique_lock lock(mu_);
-    cv_room_.wait(lock, [this] { return queue_.size() < queue_capacity_ || stopping_; });
-    if (stopping_) return;  // shutting down: drop the task
-    queue_.push_back(std::move(task));
-    ++in_flight_;
-    ++submitted_;
-    max_queue_depth_ = std::max(max_queue_depth_, queue_.size());
-  }
-  cv_work_.notify_one();
-}
-
-ThreadPool::Stats ThreadPool::stats() const {
-  std::lock_guard lock(mu_);
-  Stats s{submitted_, executed_, queue_.size(), max_queue_depth_, {}};
-  s.workers.resize(executed_per_worker_.size());
-  for (std::size_t i = 0; i < executed_per_worker_.size(); ++i) {
-    s.workers[i].executed = executed_per_worker_[i];
-    s.workers[i].max_queue_depth = max_queue_depth_;  // shared queue: same high-water
-  }
-  return s;
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mu_);
-  cv_idle_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
-void ThreadPool::worker(std::stop_token stop, std::size_t index) {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock lock(mu_);
-      cv_work_.wait(lock, [&] { return !queue_.empty() || stopping_ || stop.stop_requested(); });
-      if (queue_.empty()) return;  // only leave once the queue is drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    cv_room_.notify_one();
-    Heartbeat& hb = heartbeats_[index];
-    hb.task_seq.fetch_add(1, std::memory_order_relaxed);
-    hb.busy_since_ns.store(steady_now_ns(), std::memory_order_release);
-    task();
-    hb.busy_since_ns.store(0, std::memory_order_release);
-    {
-      std::lock_guard lock(mu_);
-      --in_flight_;
-      ++executed_;
-      ++executed_per_worker_[index];
-      if (in_flight_ == 0) cv_idle_.notify_all();
-    }
-  }
-}
-
-std::size_t ThreadPool::scan_stalled(std::uint64_t threshold_ms) {
-  return scan_heartbeats(heartbeats_, stall_reported_, threshold_ms);
-}
-
-std::size_t ThreadPool::resolve(std::size_t requested) {
-  if (requested != 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
-
-// --- WorkStealingPool --------------------------------------------------------
 
 WorkStealingPool::WorkStealingPool(std::size_t threads) {
   if (threads == 0) threads = 1;
@@ -142,6 +34,7 @@ WorkStealingPool::~WorkStealingPool() {
   }
   for (std::jthread& w : workers_) w.request_stop();
   cv_work_.notify_all();
+  cv_room_.notify_all();
   // jthread destructors join; workers drain every deque before exiting.
 }
 
@@ -168,33 +61,26 @@ void WorkStealingPool::seed(std::vector<std::function<void()>> tasks) {
 }
 
 void WorkStealingPool::submit(std::function<void()> task) {
-  // Pick the shallowest deque by an unlocked scan; the race is benign (the
-  // choice is a load-balancing hint, not a correctness property).
-  std::size_t best = 0, best_depth = static_cast<std::size_t>(-1);
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const std::size_t d = [&] {
-      const std::lock_guard lock(shards_[i]->mu);
-      return shards_[i]->deque.size();
-    }();
-    if (d < best_depth) {
-      best = i;
-      best_depth = d;
-    }
-  }
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
-  queued_.fetch_add(1, std::memory_order_release);
-  submitted_.fetch_add(1, std::memory_order_relaxed);
   {
-    Shard& shard = *shards_[best];
-    const std::lock_guard lock(shard.mu);
+    // Placement, the cap check and the queued_ bump share idle_mu_, so
+    // concurrent submitters cannot overshoot kMaxQueued and a sleeper cannot
+    // miss the bump (it re-checks queued_ under this lock before waiting).
+    std::unique_lock lock(idle_mu_);
+    cv_room_.wait(lock, [this] {
+      return stopping_ || queued_.load(std::memory_order_acquire) < kMaxQueued;
+    });
+    if (stopping_) return;  // shutting down: drop the task
+    Shard& shard = *shards_[next_shard_];
+    next_shard_ = (next_shard_ + 1) % shards_.size();
+    in_flight_.fetch_add(1, std::memory_order_relaxed);
+    queued_.fetch_add(1, std::memory_order_release);
+    submitted_.fetch_add(1, std::memory_order_relaxed);
+    const std::lock_guard shard_lock(shard.mu);
     shard.deque.push_back(Task{std::move(task), steady_now_ns()});
     shard.stats.max_queue_depth = std::max(shard.stats.max_queue_depth, shard.deque.size());
   }
-  {
-    // Fence against a sleeper that checked queued_ but hasn't blocked yet.
-    const std::lock_guard lock(idle_mu_);
-  }
-  cv_work_.notify_all();
+  // One task, one wakeup: if its owner is busy, the woken worker steals it.
+  cv_work_.notify_one();
 }
 
 void WorkStealingPool::wait_idle() {
@@ -208,8 +94,29 @@ bool WorkStealingPool::wait_idle_for(std::chrono::milliseconds timeout) {
                            [this] { return in_flight_.load(std::memory_order_acquire) == 0; });
 }
 
+// The scanner reads busy_since first, then task_seq: if the worker finishes
+// and starts a new task in between, the worst case is one stall attributed
+// to the newer seq — an off-by-one in attribution, never a double count.
 std::size_t WorkStealingPool::scan_stalled(std::uint64_t threshold_ms) {
-  return scan_heartbeats(heartbeats_, stall_reported_, threshold_ms);
+  if (stall_reported_.size() != heartbeats_.size()) stall_reported_.assign(heartbeats_.size(), 0);
+  const std::uint64_t now = steady_now_ns();
+  const std::uint64_t threshold_ns = threshold_ms * 1'000'000ULL;
+  std::size_t fresh = 0;
+  for (std::size_t i = 0; i < heartbeats_.size(); ++i) {
+    const std::uint64_t busy = heartbeats_[i].busy_since_ns.load(std::memory_order_acquire);
+    if (busy == 0 || now - busy < threshold_ns) continue;
+    const std::uint64_t seq = heartbeats_[i].task_seq.load(std::memory_order_acquire);
+    if (seq == stall_reported_[i]) continue;  // this episode already counted
+    stall_reported_[i] = seq;
+    ++fresh;
+  }
+  return fresh;
+}
+
+std::size_t WorkStealingPool::resolve(std::size_t requested) {
+  if (requested != 0) return requested;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
 }
 
 WorkStealingPool::Stats WorkStealingPool::stats() const {
@@ -229,27 +136,35 @@ WorkStealingPool::Stats WorkStealingPool::stats() const {
   return s;
 }
 
-bool WorkStealingPool::try_pop_own(std::size_t index, Task& out) {
-  Shard& shard = *shards_[index];
-  const std::lock_guard lock(shard.mu);
-  if (shard.deque.empty()) return false;
-  out = std::move(shard.deque.front());  // own deque: front, biggest-first
-  shard.deque.pop_front();
-  queued_.fetch_sub(1, std::memory_order_relaxed);
+bool WorkStealingPool::take(Shard& shard, bool front, Task& out) {
+  {
+    const std::lock_guard lock(shard.mu);
+    if (shard.deque.empty()) return false;
+    if (front) {
+      out = std::move(shard.deque.front());
+      shard.deque.pop_front();
+    } else {
+      out = std::move(shard.deque.back());
+      shard.deque.pop_back();
+    }
+    // queued_ falls one take at a time, so exactly one take crosses the cap.
+    if (queued_.fetch_sub(1, std::memory_order_acq_rel) != kMaxQueued) return true;
+  }
+  // Notify under idle_mu_ so the wakeup cannot slip between a blocked
+  // submitter's check and its wait.
+  const std::lock_guard lock(idle_mu_);
+  cv_room_.notify_all();
   return true;
+}
+
+bool WorkStealingPool::try_pop_own(std::size_t index, Task& out) {
+  return take(*shards_[index], /*front=*/true, out);  // own deque: biggest-first
 }
 
 bool WorkStealingPool::try_steal(std::size_t thief, Task& out) {
   const std::size_t n = shards_.size();
-  for (std::size_t k = 1; k < n; ++k) {
-    Shard& victim = *shards_[(thief + k) % n];
-    const std::lock_guard lock(victim.mu);
-    if (victim.deque.empty()) continue;
-    out = std::move(victim.deque.back());  // victim's back: smallest remaining
-    victim.deque.pop_back();
-    queued_.fetch_sub(1, std::memory_order_relaxed);
-    return true;
-  }
+  for (std::size_t k = 1; k < n; ++k)  // victim's back: smallest remaining
+    if (take(*shards_[(thief + k) % n], /*front=*/false, out)) return true;
   {
     Shard& own = *shards_[thief];
     const std::lock_guard lock(own.mu);
@@ -309,7 +224,9 @@ void WorkStealingPool::worker(std::stop_token stop, std::size_t index) {
       run_task(index, task);
       continue;
     }
-    cv_work_.wait_for(lock, std::chrono::milliseconds(50), [&] {
+    // No timeout: every queued_ bump is fenced by idle_mu_ and followed by a
+    // notify, so an idle server's workers sleep until work arrives.
+    cv_work_.wait(lock, [&] {
       return stopping_ || stop.stop_requested() ||
              queued_.load(std::memory_order_acquire) > 0;
     });

@@ -1,24 +1,23 @@
-// Worker pools for the per-suffix learning pipeline and the serving daemon.
+// The worker pool behind both the per-suffix learning pipeline and the
+// serving daemon's lookup workers.
 //
-// Two pools share this header:
+// WorkStealingPool keeps one deque per worker with steal-from-back
+// semantics, built for the learner's suffix fan-out where task sizes are
+// heavily skewed (Zipf suffix sizes: one giant consumer ISP next to
+// thousands of small operators). The learner seeds a whole batch at once,
+// cost-ordered largest-first; seeding round-robins tasks across the deques
+// under one lock acquisition per worker, so there is no shared-queue convoy.
+// Workers pop their own deque from the front (big tasks start first) and
+// steal from the back of a victim's deque when empty (stolen tasks are the
+// smallest remaining, minimizing contention on the victim's lock).
 //
-//   * ThreadPool — a fixed-size worker pool over one bounded shared queue.
-//     submit() applies backpressure (blocks while the queue is at capacity),
-//     which is what the serving data plane wants: producers must slow down
-//     rather than balloon memory.
+// The server instead submit()s one lookup batch at a time, round-robin over
+// the deques; idle workers steal what lands behind a busy one. submit()
+// blocks while kMaxQueued tasks wait, so a producer that outruns the
+// workers slows down rather than balloons memory.
 //
-//   * WorkStealingPool — per-worker deques with steal-from-back semantics,
-//     built for the learner's suffix fan-out where task sizes are heavily
-//     skewed (Zipf suffix sizes: one giant consumer ISP next to thousands of
-//     small operators). The caller seeds a whole batch at once, cost-ordered
-//     largest-first; seeding round-robins tasks across the deques under one
-//     lock acquisition per worker, so there is no shared-queue convoy.
-//     Workers pop their own deque from the front (big tasks start first) and
-//     steal from the back of a victim's deque when empty (stolen tasks are
-//     the smallest remaining, minimizing contention on the victim's lock).
-//
-// Neither pool imposes an execution order on results: pipeline callers
-// write into index-addressed slots, so threads=1 and threads=N produce
+// The pool imposes no execution order on results: pipeline callers write
+// into index-addressed slots, so threads=1 and threads=N produce
 // byte-identical output regardless of which worker ran what.
 #pragma once
 
@@ -29,6 +28,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -37,7 +37,7 @@
 
 namespace hoiho::util {
 
-// Watchdog heartbeat, one per worker (both pools). The worker bumps
+// Watchdog heartbeat, one per worker. The worker bumps
 // task_seq and stamps busy_since_ns when it starts a task and zeroes
 // busy_since_ns when the task finishes; scan_stalled() reads them to count
 // workers stuck on one task past a threshold — one episode per task, so a
@@ -47,9 +47,7 @@ struct Heartbeat {
   std::atomic<std::uint64_t> task_seq{0};
 };
 
-// Per-worker accounting shared by both pools. For ThreadPool (one shared
-// queue) `stolen`/`steal_failures` are always zero and `max_queue_depth`
-// mirrors the shared queue's high-water mark.
+// Per-worker accounting.
 struct WorkerStats {
   std::uint64_t executed = 0;        // tasks this worker finished
   std::uint64_t stolen = 0;          // tasks it took from another worker's deque
@@ -57,80 +55,21 @@ struct WorkerStats {
   std::size_t max_queue_depth = 0;   // high-water mark of its own deque
 };
 
-class ThreadPool {
+// The learner seeds a batch, wait_idle()s, then may seed the next. Task i
+// of a seed() lands on worker i % thread_count() — deterministic placement,
+// so a cost-descending order gives every worker one of the k largest tasks.
+class WorkStealingPool {
  public:
-  // Spawns `threads` workers (must be >= 1; use resolve() to map a user
-  // knob). `queue_capacity` bounds the number of queued-but-unstarted tasks.
-  explicit ThreadPool(std::size_t threads, std::size_t queue_capacity = 256);
+  // submit() blocks while this many tasks are queued (started tasks do not
+  // count). seed() is uncapped: the learner hands over a whole batch.
+  static constexpr std::size_t kMaxQueued = 256;
+
+  // Spawns `threads` workers (0 is taken as 1; use resolve() to map a user
+  // knob).
+  explicit WorkStealingPool(std::size_t threads);
 
   // Requests stop and joins the workers; queued tasks are still drained
   // (destruction is equivalent to wait_idle() then shutdown).
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  // Enqueues a task, blocking while the queue is full.
-  void submit(std::function<void()> task);
-
-  // Blocks until every task submitted so far has finished executing.
-  void wait_idle();
-
-  std::size_t thread_count() const { return workers_.size(); }
-
-  // Queue accounting, maintained under the existing queue mutex (no extra
-  // synchronization on the task path). Consumers fold these into an
-  // obs::Registry — the pool itself stays dependency-free.
-  struct Stats {
-    std::uint64_t submitted = 0;       // tasks accepted by submit()
-    std::uint64_t executed = 0;        // tasks that finished running
-    std::size_t queue_depth = 0;       // queued-but-unstarted right now
-    std::size_t max_queue_depth = 0;   // high-water mark since construction
-    std::vector<WorkerStats> workers;  // per-worker executed counts
-  };
-  Stats stats() const;
-
-  // Counts workers that have been busy on one task for longer than
-  // `threshold_ms`, each stall episode reported once (keyed by the worker's
-  // task_seq). Call from a single scanner thread (e.g. a server event
-  // loop); the per-worker last-reported bookkeeping is not synchronized.
-  std::size_t scan_stalled(std::uint64_t threshold_ms);
-
-  // Maps a config knob to a worker count: 0 means "use the hardware"
-  // (hardware_concurrency, at least 1), anything else passes through.
-  static std::size_t resolve(std::size_t requested);
-
- private:
-  void worker(std::stop_token stop, std::size_t index);
-
-  std::vector<Heartbeat> heartbeats_;          // one per worker, fixed size
-  std::vector<std::uint64_t> stall_reported_;  // scanner-owned (see scan_stalled)
-  mutable std::mutex mu_;
-  std::condition_variable cv_room_;  // queue has room (producers wait here)
-  std::condition_variable cv_work_;  // queue has work, or stop requested
-  std::condition_variable cv_idle_;  // in-flight count reached zero
-  std::deque<std::function<void()>> queue_;
-  std::size_t queue_capacity_;
-  std::size_t in_flight_ = 0;  // queued + currently executing
-  std::uint64_t submitted_ = 0;
-  std::uint64_t executed_ = 0;
-  std::size_t max_queue_depth_ = 0;
-  std::vector<std::uint64_t> executed_per_worker_;
-  bool stopping_ = false;
-  std::vector<std::jthread> workers_;  // last member: joins before the rest die
-};
-
-// Suffix-sharding pool: per-worker deques, batch seeding, work stealing.
-//
-// Usage is batch-oriented: seed() a whole task list (the caller orders it
-// largest-cost-first), wait_idle(), optionally seed() the next batch. Task
-// i of a seed call lands on worker i % thread_count() — deterministic
-// placement, so a cost-descending order gives every worker one of the k
-// largest tasks. submit() also exists for stragglers; it appends to the
-// least-loaded deque.
-class WorkStealingPool {
- public:
-  explicit WorkStealingPool(std::size_t threads);
   ~WorkStealingPool();
 
   WorkStealingPool(const WorkStealingPool&) = delete;
@@ -141,7 +80,9 @@ class WorkStealingPool {
   // workers. One lock acquisition per worker, not per task.
   void seed(std::vector<std::function<void()>> tasks);
 
-  // Enqueues one task on the currently shallowest deque.
+  // Enqueues one task on the next deque in round-robin order, blocking
+  // while kMaxQueued tasks are queued. A task submitted once destruction
+  // has begun is dropped.
   void submit(std::function<void()> task);
 
   // Blocks until every seeded/submitted task has finished executing.
@@ -151,10 +92,18 @@ class WorkStealingPool {
   // wait timed out (callers typically scan_stalled() and wait again).
   bool wait_idle_for(std::chrono::milliseconds timeout);
 
-  // Same contract as ThreadPool::scan_stalled (single scanner thread).
+  // Counts workers that have been busy on one task for longer than
+  // `threshold_ms`, each stall episode reported once (keyed by the worker's
+  // task_seq). Call from a single scanner thread (a server event loop, or
+  // the learner's waiting thread); the per-worker last-reported bookkeeping
+  // is not synchronized.
   std::size_t scan_stalled(std::uint64_t threshold_ms);
 
   std::size_t thread_count() const { return workers_.size(); }
+
+  // Maps a config knob to a worker count: 0 means "use the hardware"
+  // (hardware_concurrency, at least 1), anything else passes through.
+  static std::size_t resolve(std::size_t requested);
 
   // Optional queue-wait instrumentation: when set, the pool observes
   // (execution start - enqueue) in nanoseconds for every task into `h`.
@@ -187,6 +136,9 @@ class WorkStealingPool {
   };
 
   void worker(std::stop_token stop, std::size_t index);
+  // Pops one task from `shard` (front for its owner, back for a thief) and
+  // wakes a submit() blocked on kMaxQueued if this take freed its slot.
+  bool take(Shard& shard, bool front, Task& out);
   bool try_pop_own(std::size_t index, Task& out);
   bool try_steal(std::size_t thief, Task& out);
   void run_task(std::size_t index, Task& task);
@@ -197,12 +149,14 @@ class WorkStealingPool {
   obs::Histogram queue_wait_ns_;
 
   std::mutex idle_mu_;
-  std::condition_variable cv_work_;  // new tasks seeded, or stop requested
+  std::condition_variable cv_work_;  // new tasks queued, or stop requested
+  std::condition_variable cv_room_;  // queued_ fell below kMaxQueued (submitters wait)
   std::condition_variable cv_idle_;  // in-flight reached zero
   std::atomic<std::size_t> in_flight_{0};  // queued + executing (wait_idle)
-  std::atomic<std::size_t> queued_{0};     // queued only (worker sleep/steal gate)
+  std::atomic<std::size_t> queued_{0};     // queued only (sleep/steal gate, submit cap)
   std::atomic<std::uint64_t> submitted_{0};
-  bool stopping_ = false;  // guarded by idle_mu_
+  std::size_t next_shard_ = 0;  // submit()'s round-robin cursor; guarded by idle_mu_
+  bool stopping_ = false;       // guarded by idle_mu_
   std::vector<std::jthread> workers_;  // last member: joins before the rest die
 };
 

@@ -350,10 +350,11 @@ TEST(PipelineObs, ParallelRunMatchesSequentialCounters) {
   // The pool only spins up when the host has >1 core (the pipeline clamps
   // workers to hardware concurrency); single-core hosts run sequentially
   // and record no pool activity.
-  if (util::ThreadPool::resolve(0) > 1)
+  if (util::WorkStealingPool::resolve(0) > 1) {
     EXPECT_GT(b.metrics.value("pipeline_pool_tasks_executed"), 0u);
-  else
+  } else {
     EXPECT_EQ(b.metrics.value("pipeline_pool_tasks_executed"), 0u);
+  }
 }
 
 TEST(PipelineObs, EveryDriverPublishesGridRssAndPoolGauges) {
@@ -370,8 +371,9 @@ TEST(PipelineObs, EveryDriverPublishesGridRssAndPoolGauges) {
     EXPECT_EQ(snap.value("pipeline_expected_rtt_grid_cells"), dict.size() * vps) << what;
     EXPECT_GT(snap.find("pipeline_peak_rss_bytes")->gauge, 0) << what;
     // Workers are clamped to hardware, so 1-core hosts run inline.
-    if (util::ThreadPool::resolve(0) > 1)
+    if (util::WorkStealingPool::resolve(0) > 1) {
       EXPECT_EQ(snap.value("pipeline_pool_tasks_executed"), learned) << what;
+    }
   };
 
   {

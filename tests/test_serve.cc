@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -840,6 +841,51 @@ TEST(ModelStore, PollWatchReportsCorruptModelOncePerChange) {
   EXPECT_EQ(store.poll_watch(), WO::kUnchanged);
   // And the old model keeps serving throughout.
   EXPECT_TRUE(store.current()->geolocator.locate("e0.cr1.ash1.he.net").has_value());
+}
+
+TEST(ModelStore, PollDeltaWatchAppliesOnceAndReportsTornDeltaOnce) {
+  const geo::GeoDictionary& dict = geo::builtin_dictionary();
+  ModelStore store(dict);
+  store.install(he_net_model(dict));
+  using WO = ModelStore::WatchOutcome;
+  EXPECT_EQ(store.poll_delta_watch(), WO::kUnchanged);  // no watch target
+
+  const std::string path = temp_path("watch_delta.txt");
+  std::remove(path.c_str());
+  store.set_delta_watch(path);
+  EXPECT_EQ(store.poll_delta_watch(), WO::kMissing);
+
+  const std::uint64_t gen = store.generation();
+  core::ModelDelta delta;
+  delta.base_generation = gen;
+  delta.upserts = zayo_model(dict);
+  std::string error;
+  ASSERT_TRUE(core::save_model_delta_to_file(path, delta, dict, &error)) << error;
+  EXPECT_EQ(store.poll_delta_watch(), WO::kDebounced);
+  EXPECT_EQ(store.poll_delta_watch(&error), WO::kReloaded) << error;
+  EXPECT_EQ(store.generation(), gen + 1);
+  EXPECT_TRUE(store.current()->geolocator.locate("lhr1.zayo.com").has_value());
+  EXPECT_EQ(store.poll_delta_watch(), WO::kUnchanged);  // same file: applied once
+
+  // A torn delta (checksum footer lost) fails once per file change.
+  let_mtime_tick();
+  delta.base_generation = store.generation();
+  ASSERT_TRUE(core::save_model_delta_to_file(path, delta, dict, &error)) << error;
+  std::string bytes;
+  {
+    std::ifstream in(path);
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  ASSERT_GE(bytes.size(), 2u);
+  bytes.erase(bytes.rfind('\n', bytes.size() - 2) + 1);  // drop the footer line
+  { std::ofstream(path, std::ios::trunc) << bytes; }
+  error.clear();
+  EXPECT_EQ(store.poll_delta_watch(&error), WO::kDebounced);
+  EXPECT_EQ(store.poll_delta_watch(&error), WO::kReloadFailed);
+  EXPECT_NE(error.find("footer"), std::string::npos) << error;
+  EXPECT_EQ(store.poll_delta_watch(), WO::kUnchanged);
+  EXPECT_EQ(store.generation(), gen + 1);
+  std::remove(path.c_str());
 }
 
 TEST(ModelStore, ReloadFailpointInjectsFailure) {

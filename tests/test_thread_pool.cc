@@ -3,103 +3,20 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <functional>
 #include <thread>
+#include <vector>
 
 #include "util/thread_pool.h"
 
 namespace hoiho::util {
 namespace {
 
-TEST(ThreadPool, ResolveMapsZeroToHardware) {
-  EXPECT_GE(ThreadPool::resolve(0), 1u);
-  EXPECT_EQ(ThreadPool::resolve(1), 1u);
-  EXPECT_EQ(ThreadPool::resolve(7), 7u);
-}
-
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  std::atomic<int> count{0};
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.thread_count(), 4u);
-  for (int i = 0; i < 1000; ++i)
-    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1000);
-}
-
-TEST(ThreadPool, ReusableAcrossBatches) {
-  std::atomic<int> count{0};
-  ThreadPool pool(2);
-  for (int batch = 0; batch < 3; ++batch) {
-    for (int i = 0; i < 50; ++i)
-      pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    pool.wait_idle();
-    EXPECT_EQ(count.load(), 50 * (batch + 1));
-  }
-}
-
-TEST(ThreadPool, BoundedQueueAppliesBackpressure) {
-  // Far more tasks than queue slots: submit() must block rather than drop.
-  std::atomic<int> count{0};
-  ThreadPool pool(2, /*queue_capacity=*/4);
-  for (int i = 0; i < 200; ++i) {
-    pool.submit([&count] {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-      count.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 200);
-}
-
-TEST(ThreadPool, SingleWorkerNeverOverlapsTasks) {
-  std::atomic<int> running{0};
-  std::atomic<int> max_running{0};
-  ThreadPool pool(1);
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&] {
-      const int now = running.fetch_add(1) + 1;
-      int prev = max_running.load();
-      while (now > prev && !max_running.compare_exchange_weak(prev, now)) {
-      }
-      running.fetch_sub(1);
-    });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(max_running.load(), 1);
-}
-
-TEST(ThreadPool, DestructorDrainsQueuedTasks) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 100; ++i)
-      pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    // No wait_idle(): destruction must still run everything queued.
-  }
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.wait_idle();  // nothing submitted
-  SUCCEED();
-}
-
-TEST(ThreadPool, StatsCarryPerWorkerExecutedCounts) {
-  ThreadPool pool(3);
-  for (int i = 0; i < 60; ++i) pool.submit([] {});
-  pool.wait_idle();
-  const ThreadPool::Stats stats = pool.stats();
-  EXPECT_EQ(stats.submitted, 60u);
-  EXPECT_EQ(stats.executed, 60u);
-  ASSERT_EQ(stats.workers.size(), 3u);
-  std::uint64_t sum = 0;
-  for (const WorkerStats& w : stats.workers) {
-    sum += w.executed;
-    EXPECT_EQ(w.stolen, 0u);  // the shared-queue pool never steals
-    EXPECT_EQ(w.steal_failures, 0u);
-  }
-  EXPECT_EQ(sum, 60u);
+TEST(WorkStealingPool, ResolveMapsZeroToHardware) {
+  EXPECT_GE(WorkStealingPool::resolve(0), 1u);
+  EXPECT_EQ(WorkStealingPool::resolve(1), 1u);
+  EXPECT_EQ(WorkStealingPool::resolve(7), 7u);
 }
 
 TEST(WorkStealingPool, SeedRunsEveryTask) {
@@ -133,14 +50,102 @@ TEST(WorkStealingPool, ReusableAcrossBatches) {
   }
 }
 
-TEST(WorkStealingPool, SubmitLandsOnShallowestDeque) {
+TEST(WorkStealingPool, SubmitRunsEveryTask) {
   std::atomic<int> count{0};
   WorkStealingPool pool(3);
-  for (int i = 0; i < 200; ++i)
+  EXPECT_EQ(pool.thread_count(), 3u);
+  for (int i = 0; i < 1000; ++i)
     pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
   pool.wait_idle();
-  EXPECT_EQ(count.load(), 200);
-  EXPECT_EQ(pool.stats().executed, 200u);
+  EXPECT_EQ(count.load(), 1000);
+  const WorkStealingPool::Stats stats = pool.stats();
+  EXPECT_EQ(stats.submitted, 1000u);
+  EXPECT_EQ(stats.executed, 1000u);
+  ASSERT_EQ(stats.workers.size(), 3u);
+  std::uint64_t sum = 0;
+  for (const WorkerStats& w : stats.workers) sum += w.executed;
+  EXPECT_EQ(sum, 1000u);
+}
+
+TEST(WorkStealingPool, SubmitBlocksAtMaxQueuedThenResumes) {
+  // One worker, pinned on a gated task, so every further submit stays
+  // queued: kMaxQueued of them return at once, the next one must block
+  // until the worker takes a task.
+  constexpr std::size_t kCap = WorkStealingPool::kMaxQueued;
+  WorkStealingPool pool(1);
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  std::atomic<std::size_t> ran{0};
+  pool.submit([&] {
+    started.store(true, std::memory_order_release);
+    while (!release.load(std::memory_order_acquire))
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ran.fetch_add(1, std::memory_order_relaxed);
+  });
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
+  for (std::size_t i = 0; i < kCap; ++i)
+    pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+  EXPECT_EQ(pool.stats().max_queue_depth, kCap);
+
+  std::atomic<bool> returned{false};
+  std::thread producer([&] {
+    pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+    returned.store(true, std::memory_order_release);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(returned.load(std::memory_order_acquire));  // blocked at the cap
+  EXPECT_EQ(pool.stats().submitted, kCap + 1);
+
+  release.store(true, std::memory_order_release);
+  // The worker's first take must wake the producer. A lost wakeup blocks it
+  // for good, so the wait is bounded: a failed ASSERT leaves `producer`
+  // joinable, which aborts the binary instead of hanging it.
+  for (int i = 0; i < 10'000 && !returned.load(std::memory_order_acquire); ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_TRUE(returned.load(std::memory_order_acquire));
+  producer.join();
+  pool.wait_idle();
+  EXPECT_EQ(ran.load(), kCap + 2);
+  const WorkStealingPool::Stats stats = pool.stats();
+  EXPECT_EQ(stats.submitted, kCap + 2);
+  EXPECT_EQ(stats.max_queue_depth, kCap);  // never one over the cap
+}
+
+TEST(WorkStealingPool, SeedIsUncapped) {
+  // The learner seeds whole batches; seed() never blocks on kMaxQueued,
+  // even with the only worker pinned.
+  constexpr std::size_t kTasks = 4 * WorkStealingPool::kMaxQueued;
+  WorkStealingPool pool(1);
+  std::atomic<bool> release{false};
+  std::atomic<std::size_t> ran{0};
+  std::vector<std::function<void()>> tasks;
+  tasks.push_back([&] {
+    while (!release.load(std::memory_order_acquire))
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  });
+  for (std::size_t i = 1; i < kTasks; ++i)
+    tasks.push_back([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+  pool.seed(std::move(tasks));  // returns although the worker is stuck
+  release.store(true, std::memory_order_release);
+  pool.wait_idle();
+  EXPECT_EQ(ran.load(), kTasks - 1);
+}
+
+TEST(WorkStealingPool, SingleWorkerNeverOverlapsTasks) {
+  std::atomic<int> running{0};
+  std::atomic<int> max_running{0};
+  WorkStealingPool pool(1);
+  for (int i = 0; i < 100; ++i) {
+    pool.submit([&] {
+      const int now = running.fetch_add(1) + 1;
+      int prev = max_running.load();
+      while (now > prev && !max_running.compare_exchange_weak(prev, now)) {
+      }
+      running.fetch_sub(1);
+    });
+  }
+  pool.wait_idle();
+  EXPECT_EQ(max_running.load(), 1);
 }
 
 TEST(WorkStealingPool, StealsUnderSkew) {
@@ -173,7 +178,7 @@ TEST(WorkStealingPool, StealsUnderSkew) {
   EXPECT_GT(stats.tasks_stolen, 0u);
 }
 
-TEST(WorkStealingPool, DestructorDrainsSeededTasks) {
+TEST(WorkStealingPool, DestructorDrainsQueuedTasks) {
   std::atomic<int> count{0};
   {
     WorkStealingPool pool(2);
@@ -181,9 +186,11 @@ TEST(WorkStealingPool, DestructorDrainsSeededTasks) {
     for (int i = 0; i < 100; ++i)
       tasks.push_back([&count] { count.fetch_add(1, std::memory_order_relaxed); });
     pool.seed(std::move(tasks));
+    for (int i = 0; i < 100; ++i)
+      pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
     // No wait_idle(): destruction must still run everything queued.
   }
-  EXPECT_EQ(count.load(), 100);
+  EXPECT_EQ(count.load(), 200);
 }
 
 TEST(WorkStealingPool, WaitIdleOnEmptyPoolReturnsImmediately) {
@@ -204,27 +211,6 @@ TEST(WorkStealingPool, TracksMaxQueueDepth) {
   // 100 tasks round-robined over 2 deques: each deque held up to 50 at once.
   EXPECT_GE(pool.stats().max_queue_depth, 25u);
   EXPECT_LE(pool.stats().max_queue_depth, 50u);
-}
-
-TEST(ThreadPool, ScanStalledReportsEachSlowTaskOnce) {
-  ThreadPool pool(2);
-  std::atomic<bool> release{false};
-  pool.submit([&] {
-    while (!release.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  });
-  // Poll until the watchdog sees the worker stuck past the threshold (the
-  // submit -> task-start handoff time is scheduler-dependent).
-  std::size_t stalled = 0;
-  for (int i = 0; i < 400 && stalled == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    stalled = pool.scan_stalled(10);
-  }
-  EXPECT_EQ(stalled, 1u);
-  // Same task, same episode: a stall is reported once, not once per scan.
-  EXPECT_EQ(pool.scan_stalled(10), 0u);
-  release.store(true);
-  pool.wait_idle();
-  EXPECT_EQ(pool.scan_stalled(10), 0u);  // idle workers never count
 }
 
 TEST(WorkStealingPool, ScanStalledPairsWithWaitIdleFor) {
