@@ -1,7 +1,5 @@
 #include "dns/hostname.h"
 
-#include <cctype>
-
 namespace hoiho::dns {
 
 bool valid_hostname(std::string_view s) {
@@ -14,14 +12,25 @@ bool valid_hostname(std::string_view s) {
       label_len = 0;
       continue;
     }
-    const unsigned char u = static_cast<unsigned char>(c);
-    if (!(std::islower(u) || std::isdigit(u) || c == '-' || c == '_')) return false;
+    if (!((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '-' || c == '_'))
+      return false;
     if (++label_len > 63) return false;
   }
   return label_len > 0;
 }
 
 namespace {
+
+// Longest name valid_hostname accepts; longer input is rejected before it is
+// copied anywhere.
+constexpr std::size_t kMaxHostname = 255;
+
+// ASCII lower-casing of `raw` into `out` (raw.size() bytes). Bytes outside
+// A-Z pass through unchanged; valid_hostname rejects the non-ASCII ones.
+void lower_into(std::string_view raw, char* out) {
+  for (const char c : raw)
+    *out++ = (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
+}
 
 // Parses already-canonical (lower-cased) bytes the caller owns.
 std::optional<Hostname> parse_canonical(std::string_view canonical, const PublicSuffixList& psl) {
@@ -40,10 +49,9 @@ std::optional<Hostname> parse_hostname(std::string_view raw, util::Arena& arena,
                                        const PublicSuffixList& psl) {
   // Lower-case into a stack buffer first: rejects (oversized, bad charset,
   // no registered domain) leave no residue in the arena.
-  char buf[256];
-  if (raw.empty() || raw.size() > 255) return std::nullopt;
-  for (std::size_t i = 0; i < raw.size(); ++i)
-    buf[i] = static_cast<char>(std::tolower(static_cast<unsigned char>(raw[i])));
+  char buf[kMaxHostname];
+  if (raw.empty() || raw.size() > kMaxHostname) return std::nullopt;
+  lower_into(raw, buf);
   const auto h = parse_canonical({buf, raw.size()}, psl);
   if (!h) return std::nullopt;
   Hostname out = *h;
@@ -53,7 +61,10 @@ std::optional<Hostname> parse_hostname(std::string_view raw, util::Arena& arena,
 
 std::optional<Hostname> parse_hostname(std::string_view raw, std::string& storage,
                                        const PublicSuffixList& psl) {
-  storage = util::to_lower(raw);
+  if (raw.empty() || raw.size() > kMaxHostname) return std::nullopt;
+  // resize() within the capacity an earlier call left allocates nothing.
+  storage.resize(raw.size());
+  lower_into(raw, storage.data());
   return parse_canonical(storage, psl);
 }
 

@@ -19,7 +19,7 @@ namespace hoiho::dns {
 
 // True if `s` is a plausible DNS hostname for our purposes: non-empty,
 // at most 255 chars, labels of [a-z0-9_-] separated by single dots.
-// Expects lower-case input.
+// Expects lower-case input; upper-case and non-ASCII bytes are rejected.
 bool valid_hostname(std::string_view s);
 
 // A parsed hostname is a *view*: the canonical lower-cased bytes live in
@@ -52,8 +52,10 @@ std::optional<Hostname> parse_hostname(std::string_view raw, util::Arena& arena,
                                        const PublicSuffixList& psl = PublicSuffixList::builtin());
 
 // One-off form for call sites without an arena (the serving lookup path,
-// small tools): the canonical bytes go into `storage`, which must outlive
-// the returned Hostname.
+// small tools): `raw` is lower-cased in place into `storage`, which must
+// outlive the returned Hostname. Reusing one `storage` across calls makes a
+// parse allocation-free once warm: the PSL lookups probe by string_view and
+// the buffer keeps its capacity.
 std::optional<Hostname> parse_hostname(std::string_view raw, std::string& storage,
                                        const PublicSuffixList& psl = PublicSuffixList::builtin());
 

@@ -1,8 +1,6 @@
 #include "dns/public_suffix.h"
 
-#include <vector>
-
-#include "util/strings.h"
+#include <algorithm>
 
 namespace hoiho::dns {
 
@@ -10,7 +8,7 @@ namespace {
 
 // Embedded rule set: generic TLDs plus the country-code TLDs and
 // second-level registries that appear in router hostname corpora.
-constexpr const char* kBuiltinRules[] = {
+constexpr std::string_view kBuiltinRules[] = {
     // Generic.
     "com", "net", "org", "edu", "gov", "mil", "int", "info", "biz", "name",
     "io", "co", "me", "tv", "cc", "ws", "us", "eu", "asia", "cloud", "host",
@@ -59,11 +57,13 @@ constexpr const char* kBuiltinRules[] = {
 const PublicSuffixList& PublicSuffixList::builtin() {
   static const PublicSuffixList psl = [] {
     PublicSuffixList p;
-    for (const char* rule : kBuiltinRules) p.add_rule(rule);
+    for (const std::string_view rule : kBuiltinRules) p.add_rule(rule);
     return p;
   }();
   return psl;
 }
+
+std::span<const std::string_view> PublicSuffixList::builtin_rules() { return kBuiltinRules; }
 
 void PublicSuffixList::add_rule(std::string_view rule) {
   // Tolerate PSL file noise: comments, blanks, leading dots.
@@ -77,15 +77,25 @@ void PublicSuffixList::add_rule(std::string_view rule) {
 }
 
 std::string_view PublicSuffixList::public_suffix(std::string_view hostname) const {
-  const std::vector<std::string_view> labels = util::split(hostname, ".");
-  if (labels.empty()) return {};
-  // Try the longest candidate suffix first.
-  const std::size_t try_max = std::min(max_labels_, labels.size());
-  for (std::size_t n = try_max; n >= 1; --n) {
-    // Offset of the suffix made of the last n labels.
-    const std::size_t start = labels[labels.size() - n].begin() - hostname.begin();
+  // The longest candidate starts at the max_labels_-th non-empty label from
+  // the right (or the leftmost label of a shorter name).
+  std::size_t start = hostname.size();
+  std::size_t labels = 0;
+  for (std::size_t i = hostname.size(); i > 0 && labels < max_labels_; --i) {
+    if (hostname[i - 1] != '.' && (i == 1 || hostname[i - 2] == '.')) {
+      start = i - 1;
+      ++labels;
+    }
+  }
+  // Try it, then each shorter candidate past the next dot. A candidate that
+  // starts with a dot (an empty label) is never a rule: add_rule strips
+  // leading dots.
+  while (start < hostname.size()) {
     const std::string_view cand = hostname.substr(start);
-    if (rules_.contains(std::string(cand))) return cand;
+    if (rules_.contains(cand)) return cand;
+    start = hostname.find('.', start);
+    if (start == std::string_view::npos) break;
+    ++start;
   }
   return {};
 }

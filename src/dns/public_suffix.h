@@ -8,9 +8,13 @@
 // PSL file) at runtime.
 #pragma once
 
+#include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_set>
+
+#include "util/strings.h"
 
 namespace hoiho::dns {
 
@@ -21,6 +25,9 @@ class PublicSuffixList {
   // A PSL with the embedded rule set. Built once, then shared.
   static const PublicSuffixList& builtin();
 
+  // The embedded rules builtin() is made of.
+  static std::span<const std::string_view> builtin_rules();
+
   // Adds one rule, e.g. "net.au". Lower-cases; ignores empty/comment lines,
   // so a real PSL file can be streamed through this.
   void add_rule(std::string_view rule);
@@ -28,16 +35,19 @@ class PublicSuffixList {
   std::size_t rule_count() const { return rules_.size(); }
 
   // Longest public suffix of `hostname` present in the rule set; empty view
-  // if none. `hostname` must be lower-case.
+  // if none. `hostname` must be lower-case. Candidates are the suffixes that
+  // start at a non-empty label, probed as string_views, so a lookup
+  // allocates nothing.
   std::string_view public_suffix(std::string_view hostname) const;
 
   // The registered domain: public suffix plus one label ("he.net" for
   // "core1.ash1.he.net"). Empty if the hostname has no label beyond the
-  // public suffix (or no public suffix at all).
+  // public suffix (or no public suffix at all). Allocation-free, like
+  // public_suffix.
   std::string_view registered_domain(std::string_view hostname) const;
 
  private:
-  std::unordered_set<std::string> rules_;
+  std::unordered_set<std::string, util::TransparentStringHash, std::equal_to<>> rules_;
   std::size_t max_labels_ = 0;
 };
 

@@ -219,7 +219,6 @@ std::size_t Registry::size() const {
 
 Snapshot Registry::snapshot() const {
   const std::scoped_lock lock(mu_);
-  std::atomic_thread_fence(std::memory_order_seq_cst);
   Snapshot snap;
   snap.entries.reserve(metrics_.size());
   for (const MetricInfo& m : metrics_) {

@@ -18,7 +18,7 @@
 // subsystems share one registry without coordination.
 //
 // snapshot() is the only read path. It materializes every metric in
-// registration order behind an acquire fence; registering an "effect"
+// registration order with acquire loads; registering an "effect"
 // counter before its "cause" (e.g. serve hits/misses before requests) makes
 // the snapshot respect the cause>=effect invariant on TSO hardware, because
 // the effect is read first — see serve/metrics.h for the worked example.
@@ -180,7 +180,7 @@ class Registry {
   Gauge gauge(std::string_view name);
   Histogram histogram(std::string_view name, std::span<const double> bounds = {});
 
-  // Reads every metric, in registration order, behind an acquire fence.
+  // Reads every metric, in registration order, with acquire loads.
   Snapshot snapshot() const;
 
   std::size_t size() const;

@@ -175,10 +175,17 @@ std::optional<std::size_t> parse_geob_count(std::string_view line) {
   return req.geob_count;
 }
 
+// The lookup and GEO formatters append into one string reserved for the
+// whole line: numbers through util::append_fixed, counts through
+// std::to_string (short enough to stay in the small-string buffer), and no
+// concatenated temporaries. An answer line costs at most one allocation.
+
 std::string format_hit(const core::Geolocation& g) {
-  std::string out = util::fmt_double(g.coord.lat, 4);
+  std::string out;
+  out.reserve(40 + g.code.size());  // "-180.0000,-180.0000,<code>,dictionary"
+  util::append_fixed(out, g.coord.lat, 4);
   out += ',';
-  out += util::fmt_double(g.coord.lon, 4);
+  util::append_fixed(out, g.coord.lon, 4);
   out += ',';
   out += g.code;
   out += ',';
@@ -194,10 +201,11 @@ std::string format_geo(const fuse::FuseResult& result,
   if (!result.answered()) {
     out += "miss";
   } else {
+    out.reserve(128 + result.set.code.size());
     const fuse::Verdict& best = result.best();
-    out += util::fmt_double(best.coord.lat, 4);
+    util::append_fixed(out, best.coord.lat, 4);
     out += ',';
-    out += util::fmt_double(best.coord.lon, 4);
+    util::append_fixed(out, best.coord.lon, 4);
     out += ',';
     if (result.set.code.empty()) {
       out += '-';
@@ -207,12 +215,14 @@ std::string format_geo(const fuse::FuseResult& result,
     out += ',';
     out += fuse::to_string(best.source);
     out += ',';
-    out += util::fmt_double(best.score, 3);
+    util::append_fixed(out, best.score, 3);
     std::size_t feasible = 0;
     for (const fuse::Candidate& c : result.set.candidates)
       if (c.feasible) ++feasible;
-    out += ",candidates=" + std::to_string(result.set.candidates.size());
-    out += ",feasible=" + std::to_string(feasible);
+    out += ",candidates=";
+    out += std::to_string(result.set.candidates.size());
+    out += ",feasible=";
+    out += std::to_string(feasible);
   }
   if (audit) {
     out += ",audit=";

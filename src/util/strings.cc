@@ -1,7 +1,7 @@
 #include "util/strings.h"
 
 #include <cctype>
-#include <cstdio>
+#include <charconv>
 
 namespace hoiho::util {
 
@@ -160,10 +160,27 @@ std::string regex_escape(std::string_view s) {
   return out;
 }
 
-std::string fmt_double(double v, int decimals) {
+void append_fixed(std::string& out, double v, int decimals) {
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
-  return buf;
+  const auto [end, ec] =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::fixed, decimals);
+  if (ec == std::errc()) {
+    out.append(buf, end);
+    return;
+  }
+  // Past ~1e60 (or with many decimals) print straight into `out`: a double
+  // has at most 309 integer digits.
+  const std::size_t at = out.size();
+  out.resize(at + 312 + static_cast<std::size_t>(decimals));
+  const auto r = std::to_chars(out.data() + at, out.data() + out.size(), v,
+                               std::chars_format::fixed, decimals);
+  out.resize(static_cast<std::size_t>(r.ptr - out.data()));
+}
+
+std::string fmt_double(double v, int decimals) {
+  std::string out;
+  append_fixed(out, v, decimals);
+  return out;
 }
 
 std::string fmt_pct(double num, double den, int decimals) {

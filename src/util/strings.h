@@ -86,7 +86,14 @@ std::string squash_alnum(std::string_view s);
 // restricted regex dialect (see src/regex/).
 std::string regex_escape(std::string_view s);
 
-// Formats `v` with `decimals` digits after the point (printf "%.*f").
+// Appends `v` with `decimals` (>= 0) digits after the point to `out`. The
+// bytes are printf's "%.*f" in the C locale (std::to_chars defines them so),
+// with no locale lookup and no temporary: within `out`'s capacity it
+// allocates nothing. serve/protocol.cc formats every fractional number
+// with it.
+void append_fixed(std::string& out, double v, int decimals);
+
+// append_fixed into a fresh string.
 std::string fmt_double(double v, int decimals);
 
 // Formats `num`/`den` as a percentage string like "55.0%"; "-" if den == 0.

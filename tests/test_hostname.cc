@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+
 namespace hoiho::dns {
 namespace {
 
@@ -21,6 +23,55 @@ TEST(ValidHostname, RejectsMalformed) {
   EXPECT_FALSE(valid_hostname("spa ce.net"));
   EXPECT_FALSE(valid_hostname(std::string(64, 'a') + ".net"));  // label > 63
   EXPECT_FALSE(valid_hostname(std::string(300, 'a')));
+}
+
+TEST(ValidHostname, AcceptsExactlyTheCLocaleHostnameBytes) {
+  EXPECT_FALSE(valid_hostname("core1.ASH1.he.net"));
+  EXPECT_FALSE(valid_hostname("Z.net"));
+  EXPECT_FALSE(valid_hostname("caf\xc3\xa9.net"));
+  EXPECT_FALSE(valid_hostname("\x80.net"));
+  EXPECT_FALSE(valid_hostname("a.\xff"));
+  // Every byte in a label: accepted iff it is a-z, 0-9, '-' or '_' (the
+  // islower/isdigit classes of the C locale).
+  for (int b = 1; b < 256; ++b) {
+    if (b == '.') continue;
+    const char c = static_cast<char>(b);
+    const bool want = std::islower(b) || std::isdigit(b) || c == '-' || c == '_';
+    EXPECT_EQ(valid_hostname(std::string("a") + c + ".net"), want) << "byte " << b;
+  }
+}
+
+TEST(ParseHostname, StorageAndArenaFormsAgree) {
+  util::Arena arena;
+  std::string storage;
+  const std::string at_limit = std::string(63, 'a') + "." + std::string(63, 'b') + "." +
+                               std::string(63, 'c') + "." + std::string(59, 'd') + ".net";
+  ASSERT_EQ(at_limit.size(), 255u);
+  for (const std::string& raw :
+       {at_limit, "x" + at_limit, std::string("Core1.ASH1.He.Net"), std::string("r1.he.net"),
+        std::string("r1.caf\xc3\xa9.net"), std::string("R1..he.net"), std::string(""),
+        std::string("NET"), std::string("x.Co.Uk"), std::string("a.b.c.d.e.f.g.h.he.net")}) {
+    const auto from_arena = parse_hostname(raw, arena);
+    const auto from_storage = parse_hostname(raw, storage);
+    ASSERT_EQ(from_arena.has_value(), from_storage.has_value()) << raw;
+    if (!from_arena) continue;
+    EXPECT_EQ(from_arena->full, from_storage->full);
+    EXPECT_EQ(from_arena->suffix_pos, from_storage->suffix_pos);
+  }
+  EXPECT_TRUE(parse_hostname(at_limit, storage).has_value());
+  EXPECT_FALSE(parse_hostname("x" + at_limit, storage).has_value());
+}
+
+TEST(ParseHostname, ReusedStorageTakesEachName) {
+  // A long name then a short one through the same buffer: the second parse
+  // must not see the first one's tail.
+  std::string storage;
+  ASSERT_TRUE(parse_hostname("XE-0-0.GW1.SFO16.ALTER.NET", storage).has_value());
+  const auto h = parse_hostname("r1.he.net", storage);
+  ASSERT_TRUE(h.has_value());
+  EXPECT_EQ(h->full, "r1.he.net");
+  EXPECT_EQ(storage, "r1.he.net");
+  EXPECT_EQ(h->suffix(), "he.net");
 }
 
 TEST(ParseHostname, CanonicalizesCase) {

@@ -14,13 +14,16 @@
 #include <thread>
 
 #include "core/delta.h"
+#include "core/hoiho.h"
 #include "core/nc_io.h"
 #include "regex/parser.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "sim/streaming.h"
 #include "util/failpoint.h"
 #include "util/net.h"
+#include "util/rng.h"
 #include "util/strings.h"
 
 namespace hoiho::serve {
@@ -1092,6 +1095,143 @@ TEST(Server, InjectedAcceptFailureIsTransient) {
   ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(classify_response(*resp), ResponseKind::kHit);
   EXPECT_GE(server->metrics().injected_faults.load(), 2u);
+}
+
+// --- wire-format identity ---------------------------------------------------
+
+// The printf rendering every wire number must keep: "%.*f" in the C locale.
+std::string printf_fixed(double v, int decimals) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
+  return buf;
+}
+
+// Coordinates and scores the formatters must render exactly as printf does:
+// random values, signed zeros, the range ends, rounding ties at the last
+// printed digit, and tiny negatives that round to "-0.0000".
+std::vector<double> wire_values(std::size_t random_count) {
+  std::vector<double> out = {0.0,      -0.0,      180.0,     -180.0,   90.0,     -90.0,
+                             -0.00004, 0.00004,   -0.00005,  0.00005,  1e-300,   -1e-300,
+                             12.34565, -12.34565, 0.00015,   2.5e-5,   179.99995, -179.99995,
+                             0.0005,   0.0015,    0.1235,    -0.1235,  38.95,    -77.35};
+  util::Rng rng(20261019);
+  for (std::size_t i = 0; i < random_count; ++i) {
+    out.push_back(rng.next_range(-180.0, 180.0));
+    // A value on a four-decimal tie: x.xxxx5 as nearly as a double holds it.
+    const auto steps = static_cast<std::int64_t>(rng.next_below(3600000)) - 1800000;
+    out.push_back(static_cast<double>(steps) / 1e4 + 5e-5);
+    out.push_back(rng.next_range(-1e-3, 1e-3));
+  }
+  return out;
+}
+
+TEST(WireFormat, HitMatchesPrintfOracle) {
+  const std::vector<double> values = wire_values(20000);
+  util::Rng rng(7);
+  core::Geolocation g;
+  g.code = "ash";
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    g.coord = {values[i], values[rng.next_below(values.size())]};
+    g.via_learned = (i % 2) == 0;
+    const std::string want = printf_fixed(g.coord.lat, 4) + "," + printf_fixed(g.coord.lon, 4) +
+                             ",ash," + (g.via_learned ? "learned" : "dictionary");
+    ASSERT_EQ(format_hit(g), want) << "lat " << g.coord.lat << " lon " << g.coord.lon;
+  }
+}
+
+TEST(WireFormat, GeoMatchesPrintfOracle) {
+  const std::vector<double> values = wire_values(5000);
+  util::Rng rng(11);
+  fuse::FuseResult result;
+  result.verdicts.emplace_back();
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    fuse::Verdict& v = result.verdicts.front();
+    v.coord = {values[i], values[rng.next_below(values.size())]};
+    v.score = values[rng.next_below(values.size())] / 180.0;
+    v.source = static_cast<fuse::Source>(i % 3);
+    result.set.code = (i % 5) == 0 ? "" : "lon";
+    result.set.candidates.assign(i % 7, fuse::Candidate{});
+    for (std::size_t k = 0; k < result.set.candidates.size(); k += 2)
+      result.set.candidates[k].feasible = false;
+    const std::size_t n = result.set.candidates.size();
+    const std::size_t feasible = n / 2;
+    const std::string base =
+        "GEO," + printf_fixed(v.coord.lat, 4) + "," + printf_fixed(v.coord.lon, 4) + "," +
+        (result.set.code.empty() ? std::string("-") : result.set.code) + "," +
+        std::string(fuse::to_string(v.source)) + "," + printf_fixed(v.score, 3) +
+        ",candidates=" + std::to_string(n) + ",feasible=" + std::to_string(feasible);
+    ASSERT_EQ(format_geo(result), base) << "score " << v.score;
+    ASSERT_EQ(format_geo(result, fuse::AuditOutcome::kAgree), base + ",audit=agree");
+  }
+}
+
+// FNV-1a 64, for the golden answer fingerprint below.
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// The lookup answers of a fixed small streamed world, byte for byte: every
+// hostname as rendered and upper-cased, plus names no convention can answer.
+// The fingerprint was taken from the formatter built on snprintf and the
+// hostname parser that lower-cased through a temporary string, so a faster
+// parse or format path must reproduce every answer exactly.
+TEST(WireFormat, LookupAnswersMatchGoldenFingerprint) {
+  const geo::GeoDictionary& dict = geo::builtin_dictionary();
+  sim::StreamingWorldConfig config;
+  config.seed = 77;
+  config.suffixes = 40;
+  config.target_hostnames = 1200;
+  config.max_hostnames_per_suffix = 256;
+  config.vp_count = 16;
+  config.batch_hostname_budget = 300;
+  config.traits.geohint_scheme_rate = 0.8;
+  config.traits.hostname_rate = 0.85;
+  sim::StreamingWorld world(dict, config);
+  core::HoihoConfig hc;
+  hc.threads = 1;
+  const core::HoihoResult learned = core::Hoiho(dict, hc).run_stream(world);
+  core::Geolocator geolocator(dict);
+  for (const core::SuffixResult& sr : learned.suffixes)
+    if (sr.usable()) geolocator.add(sr.nc, sr.cls);
+  ASSERT_GT(geolocator.convention_count(), 0u);
+
+  std::string answers;
+  std::size_t lookups = 0, hits = 0;
+  const auto answer = [&](std::string_view name) {
+    const auto loc = geolocator.locate(name);
+    answers += loc ? format_hit(*loc) : format_miss();
+    answers += '\n';
+    ++lookups;
+    hits += loc ? 1 : 0;
+  };
+  world.reset();
+  while (auto batch = world.next_batch()) {
+    for (const topo::SuffixGroup& group : batch->groups) {
+      for (const topo::HostnameRef& ref : group.hostnames) {
+        answer(ref.hostname->full);
+        std::string upper(ref.hostname->full);
+        for (char& c : upper)
+          if (c >= 'a' && c <= 'z') c = static_cast<char>(c - 'a' + 'A');
+        answer(upper);
+      }
+    }
+  }
+  const std::string long_label(64, 'a');
+  for (const std::string& name :
+       {std::string(), std::string("net"), std::string("foo.invalidtld"),
+        std::string(".ash1.he.net"), std::string("ash1.he.net."), std::string("a..b.he.net"),
+        std::string("r1.") + long_label + ".net", std::string(300, 'a') + ".net",
+        std::string("r1.\xc3\xa9.net"), std::string("R1 ASH1.NET"), std::string("co.uk"),
+        std::string("x.co.uk")})
+    answer(name);
+  EXPECT_GT(hits, lookups / 10);
+  EXPECT_LT(hits, lookups);
+  EXPECT_EQ(fnv1a(answers), 0xfc803661743d929bULL) << lookups << " lookups, " << hits << " hits";
 }
 
 }  // namespace

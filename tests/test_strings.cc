@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <limits>
+
 namespace hoiho::util {
 namespace {
 
@@ -138,6 +141,25 @@ TEST(RegexEscape, EscapesMeta) {
 TEST(Format, FmtDouble) {
   EXPECT_EQ(fmt_double(3.14159, 2), "3.14");
   EXPECT_EQ(fmt_double(1.0, 0), "1");
+}
+
+TEST(Format, AppendFixedIsPrintfFixed) {
+  std::string out = "x=";
+  append_fixed(out, -0.00004, 4);
+  EXPECT_EQ(out, "x=-0.0000");
+  // Past the stack buffer (1e300 has 301 integer digits), non-finite values
+  // and many decimals: still printf's bytes.
+  for (const double v : {1e300, -1.7976931348623157e308, 0.1, 2.5, -2.5, 1e-320,
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN(),
+                         -std::numeric_limits<double>::quiet_NaN()}) {
+    for (const int decimals : {0, 3, 4, 60}) {
+      char buf[512];
+      std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
+      EXPECT_EQ(fmt_double(v, decimals), buf) << decimals;
+    }
+  }
 }
 
 TEST(Format, FmtPct) {
